@@ -17,12 +17,8 @@ import sys
 
 from . import collars, engine, rooms, trig
 from .errors import ConvergenceError, DomainError, InequalityViolation
-from .numerics import Tolerance, set_default_tolerance
-from .simplices import (
-    THETA_MAX,
-    TruncatedSimplexSpec,
-    angle_from_edge,
-)
+from .numerics import DEFAULT_TOLERANCE, Tolerance
+from .simplices import TruncatedSimplexSpec
 from .trig import TurnoverSignature
 
 EXIT_OK = 0
@@ -38,10 +34,10 @@ def _signature(args) -> TurnoverSignature:
     return TurnoverSignature(args.p, args.q, args.r)
 
 
-# --- subcommand payload builders (payload dict, text lines) -------------------
+# --- subcommand payload builders: (args, tol) -> (payload dict, text lines) ---
 
 
-def _cmd_area(args):
+def _cmd_area(args, tol):
     sig = _signature(args)
     kind = trig.classify(sig)
     payload = {"signature": list(sig.orders), "class": kind.value}
@@ -53,13 +49,13 @@ def _cmd_area(args):
     return payload, text
 
 
-def _cmd_classify(args):
+def _cmd_classify(args, tol):
     sig = _signature(args)
     kind = trig.classify(sig)
     return {"signature": list(sig.orders), "class": kind.value}, [kind.value]
 
 
-def _cmd_delta(args):
+def _cmd_delta(args, tol):
     pair = collars.EllipticPair(args.n, args.m)
     payload = {
         "n": pair.n,
@@ -74,7 +70,7 @@ def _cmd_delta(args):
     return payload, text
 
 
-def _cmd_orders(args):
+def _cmd_orders(args, tol):
     sig = _signature(args)
     universe = collars.cone_order_universe(sig)
     refined = collars.refined_boundary_orders(sig)
@@ -96,7 +92,7 @@ def _cmd_orders(args):
     return payload, text
 
 
-def _cmd_supergroups(args):
+def _cmd_supergroups(args, tol):
     if args.table:
         payload = {"table": collars.supergroup_table_json()}
         text = [
@@ -126,8 +122,8 @@ def _cmd_supergroups(args):
     return payload, text
 
 
-def _cmd_bounds(args):
-    ledger = engine.make_ledger(_signature(args), args.ext)
+def _cmd_bounds(args, tol):
+    ledger = engine.make_ledger(_signature(args), args.ext, tol)
     payload = {
         "signature": list(ledger.sig.orders),
         "extension_index": ledger.extension_index,
@@ -147,9 +143,9 @@ def _cmd_bounds(args):
     return payload, text
 
 
-def _cmd_candidates(args):
+def _cmd_candidates(args, tol):
     sig = _signature(args)
-    ledger = engine.make_ledger(sig, args.ext)
+    ledger = engine.make_ledger(sig, args.ext, tol)
     orders = collars.refined_boundary_orders(sig)
     rows = engine.boundary_candidates(ledger, orders)
     payload = {
@@ -162,8 +158,8 @@ def _cmd_candidates(args):
     return payload, text
 
 
-def _cmd_analyze(args):
-    report = engine.analyze(_signature(args), args.ext)
+def _cmd_analyze(args, tol):
+    report = engine.analyze(_signature(args), args.ext, tol=tol)
     payload = report.to_dict()
     text = [
         f"signature {report.ledger.sig}, extension index {report.ledger.extension_index}",
@@ -189,16 +185,13 @@ def _cmd_analyze(args):
     return payload, text
 
 
-def _cmd_rho3(args):
+def _cmd_rho3(args, tol):
     if (args.theta is None) == (args.edge is None):
         raise DomainError("give exactly one of --theta or --edge")
     if args.theta is not None:
-        theta = args.theta
-        if not (0.0 <= theta < THETA_MAX):
-            raise DomainError(f"theta={theta} outside [0, pi/3)")
-        spec = TruncatedSimplexSpec.from_angle(theta)
+        spec = TruncatedSimplexSpec.from_angle(args.theta, tol)
     else:
-        spec = TruncatedSimplexSpec.from_angle(angle_from_edge(args.edge))
+        spec = TruncatedSimplexSpec.from_edge(args.edge, tol)
     payload = {
         "theta": spec.theta,
         "edge_length": spec.edge_length,
@@ -214,15 +207,15 @@ def _cmd_rho3(args):
     return payload, text
 
 
-def _cmd_room_check(args):
+def _cmd_room_check(args, tol):
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
     if args.constant is not None:
         floor = rooms.PolarDisk(1.0)
         ceiling = rooms.CeilingFunction.constant(args.constant)
-        specs = [rooms.isoperimetric_check(floor, ceiling)]
+        specs = [rooms.isoperimetric_check(floor, ceiling, tol)]
     else:
-        specs = rooms.isoperimetric_sweep(args.seed, args.count)
+        specs = rooms.isoperimetric_sweep(args.seed, args.count, tol)
     records = [spec.to_record() for spec in specs]
     worst = min(record["margin"] for record in records)
     payload = {"count": len(records), "violations": 0, "worst_margin": worst,
@@ -234,7 +227,7 @@ def _cmd_room_check(args):
     return payload, text
 
 
-def _cmd_registry(args):
+def _cmd_registry(args, tol):
     payload = {"registry": engine.registry_json()}
     text = []
     for row in payload["registry"]:
@@ -334,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_tolerance(args) -> None:
+def _tolerance(args) -> Tolerance:
+    """This invocation's tolerance: --tol, else TURNOVER_TOL, else the default."""
     tol = args.tol
-    if tol is None:
-        env = os.environ.get("TURNOVER_TOL")
-        if env:
-            tol = float(env)
-    if tol is not None:
-        set_default_tolerance(Tolerance(abs_tol=tol, rel_tol=tol))
+    if tol is None and os.environ.get("TURNOVER_TOL"):
+        tol = float(os.environ["TURNOVER_TOL"])
+    return DEFAULT_TOLERANCE if tol is None else Tolerance(abs_tol=tol, rel_tol=tol)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -351,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        _apply_tolerance(args)
-        payload, text = args.handler(args)
+        payload, text = args.handler(args, _tolerance(args))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

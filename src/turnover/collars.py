@@ -288,7 +288,8 @@ def cone_order_universe(sig: TurnoverSignature) -> ConeOrderSet:
     return ConeOrderSet(tuple(orders))
 
 
-def _removal_detail(sig: TurnoverSignature) -> list[dict]:
+def boundary_order_report(sig: TurnoverSignature) -> list[dict]:
+    """Per-order view of which filter fired; for inspection and the CLI."""
     geo = triangle_geometry(sig)
     protected = set(sig.orders)
     for sup, _, _ in supergroups(sig):
@@ -328,10 +329,5 @@ def refined_boundary_orders(sig: TurnoverSignature) -> ConeOrderSet:
     (those orders arise from perpendicular axes and are immune to the
     distance argument).  Removal requires both filters to agree.
     """
-    kept = [row["order"] for row in _removal_detail(sig) if not row["removed"]]
+    kept = [row["order"] for row in boundary_order_report(sig) if not row["removed"]]
     return ConeOrderSet(tuple(kept))
-
-
-def boundary_order_report(sig: TurnoverSignature) -> list[dict]:
-    """Per-order view of which filter fired; for inspection and the CLI."""
-    return _removal_detail(sig)

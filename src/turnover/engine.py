@@ -43,7 +43,7 @@ from typing import Iterable
 
 from .collars import ConeOrderSet, refined_boundary_orders
 from .errors import DomainError
-from .numerics import Tolerance, resolve_tolerance
+from .numerics import DEFAULT_TOLERANCE, Tolerance
 from .rooms import constant_H
 from .simplices import (
     ReturnPathCase,
@@ -118,7 +118,11 @@ class BoundLedger:
     max_boundary_pieces: int
 
 
-def make_ledger(sig: TurnoverSignature, extension_index: int = 1) -> BoundLedger:
+def make_ledger(
+    sig: TurnoverSignature,
+    extension_index: int = 1,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> BoundLedger:
     require_hyperbolic(sig)
     if extension_index not in (1, 2):
         raise DomainError(f"extension index must be 1 or 2, got {extension_index}")
@@ -131,7 +135,7 @@ def make_ledger(sig: TurnoverSignature, extension_index: int = 1) -> BoundLedger
         extension_index=extension_index,
         area=area,
         two_sided_budget=2.0 * no_boundary,
-        upper_bound_with_boundary=constant_H() * no_boundary,
+        upper_bound_with_boundary=constant_H(tol) * no_boundary,
         upper_bound_no_boundary=no_boundary,
         max_boundary_pieces=math.floor(pieces),
     )
@@ -190,12 +194,19 @@ def _forced_closed(boundary: TurnoverSignature, k: int) -> bool:
     return k != 1 and boundary.orders.count(k) == 1
 
 
+def _verdict(ledger: BoundLedger, lower_bound: float) -> Verdict:
+    """Excluded when a volume lower bound exceeds the ledger's upper bound."""
+    if lower_bound > ledger.upper_bound_with_boundary:
+        return Verdict.EXCLUDED
+    return Verdict.SURVIVES
+
+
 def miyamoto_case_scan(
     ledger: BoundLedger,
     boundary: TurnoverSignature,
     *,
     skip_forced_closed: bool = False,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[CaseRecord]:
     """Enumerate return-path cases for ``boundary`` against the ledger.
 
@@ -213,39 +224,40 @@ def miyamoto_case_scan(
                 continue
             case = ReturnPathCase.build(boundary, k, closed)
             bound = miyamoto_lower_bound(area, case.min_length, tol)
-            verdict = (
-                Verdict.EXCLUDED
-                if bound > ledger.upper_bound_with_boundary
-                else Verdict.SURVIVES
+            records.append(
+                CaseRecord(case=case, lower_bound=bound, verdict=_verdict(ledger, bound))
             )
-            records.append(CaseRecord(case=case, lower_bound=bound, verdict=verdict))
     return records
 
 
+def _refinement_length(kind: str, value: float) -> float:
+    """Return-path length forced by a "disk" radius or a "separation"."""
+    if kind == "disk":
+        return length_from_disk_radius(value)
+    if not (value > 0.0):
+        raise DomainError(f"separation must be positive, got {value}")
+    return 2.0 * value
+
+
 def _refined_verdict(
-    ledger: BoundLedger, boundary: TurnoverSignature, length: float, tol: Tolerance | None
+    ledger: BoundLedger, boundary: TurnoverSignature, length: float, tol: Tolerance
 ) -> tuple[float, Verdict]:
     bound = miyamoto_lower_bound(turnover_area(boundary), length, tol)
-    verdict = (
-        Verdict.EXCLUDED
-        if bound > ledger.upper_bound_with_boundary
-        else Verdict.SURVIVES
-    )
-    return bound, verdict
+    return bound, _verdict(ledger, bound)
 
 
 def order4_refinement(
     ledger: BoundLedger,
     boundary: TurnoverSignature,
     disk_radius: float,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> tuple[float, Verdict]:
     """Bound from an exactly known embedded disk around a boundary cone point.
 
     Two disjoint radius-``disk_radius`` disks force the return path length
     up through the hexagon law, then the usual density bound applies.
     """
-    length = length_from_disk_radius(disk_radius)
+    length = _refinement_length("disk", disk_radius)
     return _refined_verdict(ledger, boundary, length, tol)
 
 
@@ -253,13 +265,12 @@ def order5_refinement(
     ledger: BoundLedger,
     boundary: TurnoverSignature,
     separation: float,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> tuple[float, Verdict]:
     """Bound from a perpendicular separation: a closed path connecting two
     cone points through it is at least twice the separation."""
-    if not (separation > 0.0):
-        raise DomainError(f"separation must be positive, got {separation}")
-    return _refined_verdict(ledger, boundary, 2.0 * separation, tol)
+    length = _refinement_length("separation", separation)
+    return _refined_verdict(ledger, boundary, length, tol)
 
 
 def exclusion_by_volume(
@@ -403,7 +414,7 @@ def analyze(
     sig: TurnoverSignature,
     extension_index: int = 1,
     options: AnalyzeOptions | None = None,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> AnalysisReport:
     """Run the full exclusion pipeline for an immersed ``sig`` turnover.
 
@@ -415,8 +426,7 @@ def analyze(
     """
     if options is None:
         options = AnalyzeOptions(refinements=known_refinements(sig))
-    tol = resolve_tolerance(tol)
-    ledger = make_ledger(sig, extension_index)
+    ledger = make_ledger(sig, extension_index, tol)
     orders = refined_boundary_orders(sig)
     candidates = tuple(boundary_candidates(ledger, orders))
 
@@ -433,12 +443,8 @@ def analyze(
 
     refinement_records = []
     for ref in options.refinements:
-        if ref.kind == "disk":
-            bound, verdict = order4_refinement(ledger, ref.boundary, ref.value, tol)
-            length = length_from_disk_radius(ref.value)
-        else:
-            bound, verdict = order5_refinement(ledger, ref.boundary, ref.value, tol)
-            length = 2.0 * ref.value
+        length = _refinement_length(ref.kind, ref.value)
+        bound, verdict = _refined_verdict(ledger, ref.boundary, length, tol)
         refinement_records.append(
             RefinementRecord(
                 input=ref,

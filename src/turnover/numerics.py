@@ -24,6 +24,11 @@ and failure modes are uniform.  The two workhorses are
 
 on [0, pi/2] via ``integrate``; it is the kernel of every hyperbolic volume
 computed by this package.
+
+Tolerance is an explicit argument of every numeric function in the package,
+defaulting to ``DEFAULT_TOLERANCE``; there is no process-wide setting.  The
+CLI resolves ``--tol`` / ``TURNOVER_TOL`` into one ``Tolerance`` per
+invocation and passes it down.
 """
 
 from __future__ import annotations
@@ -38,9 +43,6 @@ __all__ = [
     "Tolerance",
     "Bracket",
     "DEFAULT_TOLERANCE",
-    "default_tolerance",
-    "set_default_tolerance",
-    "resolve_tolerance",
     "find_root",
     "integrate",
     "lobachevsky",
@@ -77,25 +79,6 @@ class Tolerance:
 
 DEFAULT_TOLERANCE = Tolerance()
 
-# Process-wide default, overridable once at startup (CLI --tol); individual
-# operations stay pure given an explicit Tolerance argument.
-_active_tolerance = DEFAULT_TOLERANCE
-
-
-def default_tolerance() -> Tolerance:
-    return _active_tolerance
-
-
-def set_default_tolerance(tol: Tolerance) -> None:
-    global _active_tolerance
-    if not isinstance(tol, Tolerance):
-        raise DomainError("expected a Tolerance instance")
-    _active_tolerance = tol
-
-
-def resolve_tolerance(tol: Tolerance | None) -> Tolerance:
-    return tol if tol is not None else _active_tolerance
-
 
 @dataclass(frozen=True)
 class Bracket:
@@ -119,7 +102,7 @@ class Bracket:
 def find_root(
     f: Callable[[float], float],
     bracket: Bracket,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
     """Find a root of ``f`` inside ``bracket``.
 
@@ -132,7 +115,6 @@ def find_root(
     Raises ``BracketError`` when there is no sign change and
     ``ConvergenceError`` when ``tol.max_iter`` iterations do not suffice.
     """
-    tol = resolve_tolerance(tol)
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -243,7 +225,7 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
     """Adaptive estimate of the integral of ``f`` over [a, b].
 
@@ -251,7 +233,6 @@ def integrate(
     the module docstring.  Raises ``ConvergenceError`` when the subdivision
     budget is exhausted.
     """
-    tol = resolve_tolerance(tol)
     a, b = float(a), float(b)
     if a == b:
         return 0.0
@@ -279,7 +260,7 @@ def integrate(
     return total
 
 
-def lobachevsky(theta: float, tol: Tolerance | None = None) -> float:
+def lobachevsky(theta: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """The Lobachevsky-type integral -Integral_0^theta log|2 sin u| du.
 
     Supported on [0, pi/2], which covers every use in this package.  The

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InequalityViolation
-from .numerics import Bracket, Tolerance, find_root, resolve_tolerance
+from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, find_root
 
 __all__ = [
     "PolarDisk",
@@ -83,6 +83,11 @@ class PolarDisk:
         return 2.0 * math.pi * (math.cosh(self.radius) - 1.0)
 
 
+def _projective_area(x, y):
+    """Area element (1 - x^2 - y^2)^(-3/2) of the projective model."""
+    return (1.0 - x * x - y * y) ** -1.5
+
+
 @dataclass(frozen=True)
 class ProjectiveTriangle:
     """Triangle with vertices strictly inside the unit disk (projective model)."""
@@ -109,11 +114,7 @@ class ProjectiveTriangle:
     @cached_property
     def area(self) -> float:
         """Hyperbolic area in the projective model (computed by quadrature)."""
-
-        def projective_area(x, y):
-            return (1.0 - x * x - y * y) ** -1.5
-
-        return _triangle_quadrature(projective_area, self, resolve_tolerance(None))
+        return _triangle_quadrature(_projective_area, self, DEFAULT_TOLERANCE)
 
 
 FloorRegion = PolarDisk | ProjectiveTriangle
@@ -267,11 +268,10 @@ def _require_disk(floor: FloorRegion) -> PolarDisk:
 
 
 def room_volume(
-    floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance | None = None
+    floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
     """Volume Int_F (sinh 2g + 2g)/4 dA of the room under ``ceiling``."""
     disk = _require_disk(floor)
-    tol = resolve_tolerance(tol)
 
     def integrand(r, theta):
         g = ceiling.heights(r, theta)
@@ -281,11 +281,10 @@ def room_volume(
 
 
 def ceiling_area(
-    floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance | None = None
+    floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
     """Area of the graph of ``ceiling`` over the floor."""
     disk = _require_disk(floor)
-    tol = resolve_tolerance(tol)
 
     def integrand(r, theta):
         g = ceiling.heights(r, theta)
@@ -297,7 +296,7 @@ def ceiling_area(
     return _disk_quadrature(integrand, disk.radius, tol)
 
 
-def nice_height(V: float, A_F: float, tol: Tolerance | None = None) -> float:
+def nice_height(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Height H >= 0 of the constant-ceiling room with volume V over area A_F.
 
     Solves sinh 2H + 2H = 4 V / A_F.
@@ -308,7 +307,6 @@ def nice_height(V: float, A_F: float, tol: Tolerance | None = None) -> float:
         raise DomainError(f"floor area must be positive, got {A_F}")
     if V == 0.0:
         return 0.0
-    tol = resolve_tolerance(tol)
     rhs = 4.0 * V / A_F
 
     def f(h: float) -> float:
@@ -322,23 +320,22 @@ def nice_height(V: float, A_F: float, tol: Tolerance | None = None) -> float:
     return find_root(f, Bracket(0.0, hi), tol)
 
 
-def nice_ceiling_area(V: float, A_F: float, tol: Tolerance | None = None) -> float:
+def nice_ceiling_area(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Closed form (A_F + sqrt(A_F^2 + 4 (2V - H A_F)^2)) / 2 for the nice area.
 
     Agrees with A_F cosh^2(nice_height(V, A_F)) to tolerance.
     """
-    H = nice_height(V, A_F, tol)
+    return _nice_area(V, A_F, nice_height(V, A_F, tol))
+
+
+def _nice_area(V: float, A_F: float, H: float) -> float:
     return 0.5 * (A_F + math.sqrt(A_F**2 + 4.0 * (2.0 * V - H * A_F) ** 2))
 
 
 @lru_cache(maxsize=8)
-def _constant_H(tol: Tolerance) -> float:
-    return find_root(lambda x: x - math.cosh(x) / math.sinh(x), Bracket(1.0, 2.0), tol)
-
-
-def constant_H(tol: Tolerance | None = None) -> float:
+def constant_H(tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """The positive solution of x = coth x (about 1.199679), cached."""
-    return _constant_H(resolve_tolerance(tol))
+    return find_root(lambda x: x - math.cosh(x) / math.sinh(x), Bracket(1.0, 2.0), tol)
 
 
 def nice_room_ratio(H: float) -> float:
@@ -354,7 +351,7 @@ def nice_room_ratio(H: float) -> float:
 
 
 def isoperimetric_check(
-    floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance | None = None
+    floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> RoomSpec:
     """Compute V, Area(C), H, Area(S) and verify both proved inequalities.
 
@@ -363,12 +360,11 @@ def isoperimetric_check(
     band because the constant ceiling attains equality.
     """
     disk = _require_disk(floor)
-    tol = resolve_tolerance(tol)
     V = room_volume(disk, ceiling, tol)
     A_C = ceiling_area(disk, ceiling, tol)
     A_F = disk.area
     H_eq = nice_height(V, A_F, tol)
-    A_S = nice_ceiling_area(V, A_F, tol)
+    A_S = _nice_area(V, A_F, H_eq)
     if A_C < A_S - tol.bound(A_S):
         raise InequalityViolation(
             f"ceiling area {A_C} fell below nice area {A_S}; quadrature bug"
@@ -389,7 +385,7 @@ def isoperimetric_check(
 
 
 def cusp_prism_check(
-    tri: ProjectiveTriangle, tol: Tolerance | None = None
+    tri: ProjectiveTriangle, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[float, float]:
     """Volume above a projective-model triangle and the triangle's area.
 
@@ -398,16 +394,12 @@ def cusp_prism_check(
     floor_area = Int dx dy / (1 - x^2 - y^2)^(3/2); asserts the strict
     pointwise inequality volume < floor_area / 2.
     """
-    tol = resolve_tolerance(tol)
 
     def inverse_gap(x, y):
         return 1.0 / (1.0 - x * x - y * y)
 
-    def projective_area(x, y):
-        return (1.0 - x * x - y * y) ** -1.5
-
     volume = 0.5 * _triangle_quadrature(inverse_gap, tri, tol)
-    floor_area = _triangle_quadrature(projective_area, tri, tol)
+    floor_area = _triangle_quadrature(_projective_area, tri, tol)
     if volume >= 0.5 * floor_area + tol.bound(volume):
         raise InequalityViolation(
             f"cusp prism volume {volume} reached half the floor area "
@@ -434,17 +426,30 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
     raw = rng.uniform(0.2, 1.0, size=n_modes)
     amps = raw * (0.85 * base / raw.sum())
 
+    modes = [(float(a), int(f), float(ph)) for a, f, ph in zip(amps, freqs, phases)]
+
     def height(r, theta):
         total = base + 0.0 * (r + theta)
-        for a, f, ph in zip(amps, freqs, phases):
-            total = total + a * np.tanh(r) ** int(f) * np.cos(int(f) * theta + ph)
+        for a, f, ph in modes:
+            total = total + a * np.tanh(r) ** f * np.cos(f * theta + ph)
         return total
 
-    return CeilingFunction(height=height)
+    # Closed-form gradient: finite differences at step 1e-6 leave noise above
+    # the default 1e-12 tolerance, so the disk quadrature would not settle.
+    def gradient(r, theta):
+        t = np.tanh(r)
+        g_r = g_t = 0.0 * (r + theta)
+        for a, f, ph in modes:
+            angle = f * theta + ph
+            g_r = g_r + a * f * t ** (f - 1) * (1.0 - t * t) * np.cos(angle)
+            g_t = g_t - a * f * t**f * np.sin(angle)
+        return g_r, g_t
+
+    return CeilingFunction(height=height, gradient=gradient)
 
 
 def isoperimetric_sweep(
-    seed: int, count: int, tol: Tolerance | None = None
+    seed: int, count: int, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> list[RoomSpec]:
     """Run ``count`` random ceilings over random disk floors through
     ``isoperimetric_check``; violations propagate as ``InequalityViolation``."""

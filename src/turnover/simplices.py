@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .numerics import Tolerance, integrate, lobachevsky, resolve_tolerance
+from .numerics import DEFAULT_TOLERANCE, Tolerance, integrate, lobachevsky
 from .trig import TurnoverSignature, require_hyperbolic
 
 __all__ = [
@@ -89,24 +89,28 @@ def _octahedron_volume(tol: Tolerance) -> float:
     return 8.0 * lobachevsky(math.pi / 4.0, tol)
 
 
-def truncated_simplex_volume(theta: float, tol: Tolerance | None = None) -> float:
+def truncated_simplex_volume(theta: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Volume of the regular truncated 3-simplex of dihedral angle theta."""
     theta = _check_theta(theta)
-    tol = resolve_tolerance(tol)
     base = _octahedron_volume(tol)
     if theta == 0.0:
         return base
     return base - 3.0 * integrate(_integrand, 0.0, theta, tol)
 
 
-def rho3(r: float, tol: Tolerance | None = None) -> float:
+def _density(volume: float, theta: float) -> float:
+    """Volume over truncation area: Vol(T_theta) / (4 (pi - 3 theta))."""
+    return volume / (4.0 * (math.pi - 3.0 * theta))
+
+
+def rho3(r: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Volume-to-truncation-area density of the T_theta with half-edge r."""
     if not (r > 0.0):
         raise DomainError(f"half edge length must be positive, got {r}")
     theta = angle_from_edge(2.0 * r)
     if theta >= THETA_MAX:
         raise DomainError(f"half edge {r} puts the angle at or beyond pi/3")
-    return truncated_simplex_volume(theta, tol) / (4.0 * (math.pi - 3.0 * theta))
+    return _density(truncated_simplex_volume(theta, tol), theta)
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ class TruncatedSimplexSpec:
     rho3: float
 
     @classmethod
-    def from_angle(cls, theta: float, tol: Tolerance | None = None) -> "TruncatedSimplexSpec":
+    def from_angle(cls, theta: float, tol: Tolerance = DEFAULT_TOLERANCE) -> "TruncatedSimplexSpec":
         theta = _check_theta(theta)
         edge = edge_from_angle(theta)
         volume = truncated_simplex_volume(theta, tol)
@@ -127,11 +131,11 @@ class TruncatedSimplexSpec:
             theta=theta,
             edge_length=edge,
             volume=volume,
-            rho3=volume / (4.0 * (math.pi - 3.0 * theta)),
+            rho3=_density(volume, theta),
         )
 
     @classmethod
-    def from_edge(cls, length: float, tol: Tolerance | None = None) -> "TruncatedSimplexSpec":
+    def from_edge(cls, length: float, tol: Tolerance = DEFAULT_TOLERANCE) -> "TruncatedSimplexSpec":
         return cls.from_angle(angle_from_edge(length), tol)
 
 
@@ -190,11 +194,11 @@ class ReturnPathCase:
 
 def return_path_theta(case: ReturnPathCase) -> float:
     """Angle of the comparison simplex for the given return-path case."""
-    return _theta_for(case.boundary_sig, case.k, case.closed)
+    return case.theta
 
 
 def miyamoto_lower_bound(
-    boundary_area: float, length: float, tol: Tolerance | None = None
+    boundary_area: float, length: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
     """Volume lower bound rho3(l/2) * boundary_area from return-path length l."""
     if not (boundary_area > 0.0):

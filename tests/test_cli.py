@@ -7,13 +7,10 @@ import math
 import pytest
 
 from turnover.cli import main
-from turnover.numerics import DEFAULT_TOLERANCE, set_default_tolerance
 
-
-@pytest.fixture(autouse=True)
-def restore_default_tolerance():
-    yield
-    set_default_tolerance(DEFAULT_TOLERANCE)
+# rho3 --theta 0.9 volume at the default tolerance and at --tol 1e-3.
+VOLUME_09_DEFAULT = 2.1140621967805826
+VOLUME_09_LOOSE = 2.108322721434775
 
 
 def run(capsys, *argv):
@@ -199,6 +196,20 @@ class TestGlobalFlags:
         monkeypatch.setenv("TURNOVER_TOL", "1e-9")
         code, _, _ = run(capsys, "rho3", "--theta", "0.5")
         assert code == 0
+
+    def test_tol_flag_reaches_numerics(self, capsys):
+        payload = run_json(capsys, "rho3", "--theta", "0.9", "--tol", "1e-3")
+        assert payload["volume"] == VOLUME_09_LOOSE
+
+    def test_env_tolerance_reaches_numerics(self, capsys, monkeypatch):
+        monkeypatch.setenv("TURNOVER_TOL", "1e-3")
+        payload = run_json(capsys, "rho3", "--theta", "0.9")
+        assert payload["volume"] == VOLUME_09_LOOSE
+
+    def test_tolerance_does_not_leak_between_calls(self, capsys):
+        run_json(capsys, "rho3", "--theta", "0.9", "--tol", "1e-3")
+        payload = run_json(capsys, "rho3", "--theta", "0.9")
+        assert payload["volume"] == VOLUME_09_DEFAULT
 
     def test_bad_tol_exits_2(self, capsys):
         code, _, _ = run(capsys, "area", "2", "4", "5", "--tol", "-1")

@@ -17,11 +17,9 @@ from turnover.errors import BracketError, ConvergenceError, DomainError
 from turnover.numerics import (
     Bracket,
     Tolerance,
-    default_tolerance,
     find_root,
     integrate,
     lobachevsky,
-    set_default_tolerance,
 )
 
 # mpmath, 40 digits
@@ -54,15 +52,6 @@ class TestTolerance:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             Tolerance(**kwargs)
-
-    def test_default_override_roundtrip(self):
-        original = default_tolerance()
-        try:
-            loose = Tolerance(abs_tol=1e-6, rel_tol=1e-6)
-            set_default_tolerance(loose)
-            assert default_tolerance() is loose
-        finally:
-            set_default_tolerance(original)
 
 
 class TestBracket:

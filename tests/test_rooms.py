@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from turnover import rooms
 from turnover.errors import DomainError
 from turnover.numerics import Tolerance
 from turnover.rooms import (
@@ -254,6 +255,35 @@ class TestIsoperimetricCheck:
     def test_sweep_count_validation(self):
         with pytest.raises(DomainError):
             isoperimetric_sweep(seed=1, count=0)
+
+    @pytest.mark.parametrize("seed, count", [(34, 1), (21, 2), (16, 4)])
+    def test_sweeps_converge_at_default_tol(self, seed, count):
+        # These draws raised ConvergenceError under a finite-difference gradient.
+        assert len(isoperimetric_sweep(seed, count)) == count
+
+    def test_nice_height_solved_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return nice_height(*args)
+
+        monkeypatch.setattr(rooms, "nice_height", counted)
+        isoperimetric_check(PolarDisk(1.0), CeilingFunction.constant(0.7))
+        assert len(calls) == 1
+
+    def test_random_ceiling_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(5)
+        r = np.linspace(0.01, 1.4, 30)[:, None]
+        t = np.linspace(0.0, 2.0 * math.pi, 30)[None, :]
+        step = 1e-6
+        for _ in range(10):
+            ceiling = random_smooth_ceiling(rng)
+            g_r, g_t = ceiling.gradients(r, t)
+            fd_r = (ceiling.heights(r + step, t) - ceiling.heights(r - step, t)) / (2 * step)
+            fd_t = (ceiling.heights(r, t + step) - ceiling.heights(r, t - step)) / (2 * step)
+            np.testing.assert_allclose(g_r, fd_r, atol=1e-8)
+            np.testing.assert_allclose(g_t, fd_t, atol=1e-8)
 
     def test_random_ceilings_stay_in_range(self):
         rng = np.random.default_rng(3)
