@@ -3,7 +3,8 @@
 Library layout:
 
 * ``numerics``  -- tolerances, bracketing root finder, adaptive quadrature,
-                   the Lobachevsky-type integral.
+                   a fixed Gauss-Legendre rule, the Lobachevsky-type
+                   integral.
 * ``trig``      -- turnover signatures, classification, areas, triangle
                    solving, the quadrilateral and hexagon laws.
 * ``collars``   -- elliptic-axis distance bounds, the disk-radius cap, the

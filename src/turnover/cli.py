@@ -189,9 +189,9 @@ def _cmd_rho3(args, tol):
     if (args.theta is None) == (args.edge is None):
         raise DomainError("give exactly one of --theta or --edge")
     if args.theta is not None:
-        spec = TruncatedSimplexSpec.from_angle(args.theta, tol)
+        spec = TruncatedSimplexSpec.from_angle(args.theta)
     else:
-        spec = TruncatedSimplexSpec.from_edge(args.edge, tol)
+        spec = TruncatedSimplexSpec.from_edge(args.edge)
     payload = {
         "theta": spec.theta,
         "edge_length": spec.edge_length,

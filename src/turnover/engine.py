@@ -206,7 +206,6 @@ def miyamoto_case_scan(
     boundary: TurnoverSignature,
     *,
     skip_forced_closed: bool = False,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[CaseRecord]:
     """Enumerate return-path cases for ``boundary`` against the ledger.
 
@@ -223,7 +222,7 @@ def miyamoto_case_scan(
             if not closed and skip_forced_closed and _forced_closed(boundary, k):
                 continue
             case = ReturnPathCase.build(boundary, k, closed)
-            bound = miyamoto_lower_bound(area, case.min_length, tol)
+            bound = miyamoto_lower_bound(area, case.min_length)
             records.append(
                 CaseRecord(case=case, lower_bound=bound, verdict=_verdict(ledger, bound))
             )
@@ -240,9 +239,9 @@ def _refinement_length(kind: str, value: float) -> float:
 
 
 def _refined_verdict(
-    ledger: BoundLedger, boundary: TurnoverSignature, length: float, tol: Tolerance
+    ledger: BoundLedger, boundary: TurnoverSignature, length: float
 ) -> tuple[float, Verdict]:
-    bound = miyamoto_lower_bound(turnover_area(boundary), length, tol)
+    bound = miyamoto_lower_bound(turnover_area(boundary), length)
     return bound, _verdict(ledger, bound)
 
 
@@ -250,7 +249,6 @@ def order4_refinement(
     ledger: BoundLedger,
     boundary: TurnoverSignature,
     disk_radius: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> tuple[float, Verdict]:
     """Bound from an exactly known embedded disk around a boundary cone point.
 
@@ -258,19 +256,18 @@ def order4_refinement(
     up through the hexagon law, then the usual density bound applies.
     """
     length = _refinement_length("disk", disk_radius)
-    return _refined_verdict(ledger, boundary, length, tol)
+    return _refined_verdict(ledger, boundary, length)
 
 
 def order5_refinement(
     ledger: BoundLedger,
     boundary: TurnoverSignature,
     separation: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> tuple[float, Verdict]:
     """Bound from a perpendicular separation: a closed path connecting two
     cone points through it is at least twice the separation."""
     length = _refinement_length("separation", separation)
-    return _refined_verdict(ledger, boundary, length, tol)
+    return _refined_verdict(ledger, boundary, length)
 
 
 def exclusion_by_volume(
@@ -437,14 +434,13 @@ def analyze(
                 ledger,
                 candidate,
                 skip_forced_closed=options.skip_forced_closed,
-                tol=tol,
             )
         )
 
     refinement_records = []
     for ref in options.refinements:
         length = _refinement_length(ref.kind, ref.value)
-        bound, verdict = _refined_verdict(ledger, ref.boundary, length, tol)
+        bound, verdict = _refined_verdict(ledger, ref.boundary, length)
         refinement_records.append(
             RefinementRecord(
                 input=ref,

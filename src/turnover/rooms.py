@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InequalityViolation
-from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, find_root
+from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, _leggauss, find_root
 
 __all__ = [
     "PolarDisk",
@@ -195,11 +195,6 @@ class RoomSpec:
 # --- tensor-product quadrature ----------------------------------------------
 
 _NODE_COUNTS = (16, 24, 32, 48, 64, 96, 128, 192, 256)
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

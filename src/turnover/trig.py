@@ -58,16 +58,21 @@ class TurnoverSignature:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
+        # Not a field: equality, hashing, ordering and repr ignore it.
+        object.__setattr__(
+            self, "_chi", Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
+        )
 
     @property
     def orders(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)
 
     def chi_fraction(self) -> Fraction:
-        """Orbifold Euler characteristic 1/p + 1/q + 1/r - 1, exactly."""
-        return (
-            Fraction(1, self.p) + Fraction(1, self.q) + Fraction(1, self.r) - 1
-        )
+        """Orbifold Euler characteristic 1/p + 1/q + 1/r - 1, exactly.
+
+        Computed once, when the signature is built.
+        """
+        return self._chi
 
     @property
     def euler_char(self) -> float:

@@ -8,9 +8,10 @@ import pytest
 
 from turnover.cli import main
 
-# rho3 --theta 0.9 volume at the default tolerance and at --tol 1e-3.
-VOLUME_09_DEFAULT = 2.1140621967805826
-VOLUME_09_LOOSE = 2.108322721434775
+# bounds 2 4 5 with_boundary (H* Area, H* from find_root) at the default
+# tolerance and at --tol 1e-3.
+WITH_BOUNDARY_245_DEFAULT = 0.3768901602902289
+WITH_BOUNDARY_245_LOOSE = 0.37651887070355056
 
 
 def run(capsys, *argv):
@@ -198,18 +199,18 @@ class TestGlobalFlags:
         assert code == 0
 
     def test_tol_flag_reaches_numerics(self, capsys):
-        payload = run_json(capsys, "rho3", "--theta", "0.9", "--tol", "1e-3")
-        assert payload["volume"] == VOLUME_09_LOOSE
+        payload = run_json(capsys, "bounds", "2", "4", "5", "--tol", "1e-3")
+        assert payload["with_boundary"] == WITH_BOUNDARY_245_LOOSE
 
     def test_env_tolerance_reaches_numerics(self, capsys, monkeypatch):
         monkeypatch.setenv("TURNOVER_TOL", "1e-3")
-        payload = run_json(capsys, "rho3", "--theta", "0.9")
-        assert payload["volume"] == VOLUME_09_LOOSE
+        payload = run_json(capsys, "bounds", "2", "4", "5")
+        assert payload["with_boundary"] == WITH_BOUNDARY_245_LOOSE
 
     def test_tolerance_does_not_leak_between_calls(self, capsys):
-        run_json(capsys, "rho3", "--theta", "0.9", "--tol", "1e-3")
-        payload = run_json(capsys, "rho3", "--theta", "0.9")
-        assert payload["volume"] == VOLUME_09_DEFAULT
+        run_json(capsys, "bounds", "2", "4", "5", "--tol", "1e-3")
+        payload = run_json(capsys, "bounds", "2", "4", "5")
+        assert payload["with_boundary"] == WITH_BOUNDARY_245_DEFAULT
 
     def test_bad_tol_exits_2(self, capsys):
         code, _, _ = run(capsys, "area", "2", "4", "5", "--tol", "-1")

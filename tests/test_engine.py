@@ -11,8 +11,11 @@ import json
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnover.collars import cone_order_universe, refined_boundary_orders
 from turnover.engine import (
@@ -42,6 +45,16 @@ BOUND_ORDER4 = 0.3839860716052123
 BOUND_ORDER5 = 0.4602224494745811
 DISK_RADIUS_245 = 0.5306375309525178
 SEPARATION_245 = 0.9213650173505565
+
+# Census verdict table over every hyperbolic signature with orders <= 7 at
+# ext 1 and 2, recorded for the benchmark; read here, never written.
+CENSUS_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "census.json"
+
+HYPERBOLIC_UP_TO_9 = [
+    (p, q, r)
+    for p, q, r in combinations_with_replacement(range(2, 10), 3)
+    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) < 1
+]
 
 
 def sig(*orders) -> TurnoverSignature:
@@ -204,6 +217,38 @@ class TestCaseScan:
             if rec.verdict is Verdict.EXCLUDED:
                 assert rec.lower_bound > ledger.upper_bound_with_boundary
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        boundary=st.sampled_from(HYPERBOLIC_UP_TO_9),
+        immersed=st.lists(
+            st.tuples(st.sampled_from(HYPERBOLIC_UP_TO_9), st.sampled_from([1, 2])),
+            min_size=2,
+            max_size=4,
+        ),
+        skip=st.booleans(),
+    )
+    def test_bounds_are_shared_and_verdicts_follow_each_ledger(
+        self, boundary, immersed, skip
+    ):
+        """A case bound depends only on the boundary; each verdict compares
+        it with the ledger it was scanned against."""
+        scans = []
+        for orders, ext in immersed:
+            ledger = make_ledger(sig(*orders), ext)
+            scans.append(
+                (ledger, miyamoto_case_scan(ledger, sig(*boundary), skip_forced_closed=skip))
+            )
+        first = [(rec.case, rec.lower_bound) for rec in scans[0][1]]
+        for ledger, records in scans:
+            assert [(rec.case, rec.lower_bound) for rec in records] == first
+            for rec in records:
+                expected = (
+                    Verdict.EXCLUDED
+                    if rec.lower_bound > ledger.upper_bound_with_boundary
+                    else Verdict.SURVIVES
+                )
+                assert rec.verdict is expected
+
 
 class TestRefinements:
     def test_order4(self):
@@ -335,6 +380,19 @@ class TestAnalyze:
         assert set(case) == {"boundary", "k", "closed", "theta", "lower_bound", "verdict"}
         assert payload["conclusion"] == "NoEmbeddedTurnovers"
         assert payload["signature"] == [2, 4, 5]
+
+    def test_census_matches_golden_table(self):
+        """Conclusion and Excluded/Survives counts of all 88 census rows."""
+        rows = json.loads(CENSUS_GOLDEN.read_text())["rows"]
+        assert len(rows) == 88
+        for row in rows:
+            report = analyze(sig(*row["sig"]), row["ext"])
+            verdicts = [rec.verdict for rec in report.cases]
+            assert (
+                report.conclusion.value,
+                verdicts.count(Verdict.EXCLUDED),
+                verdicts.count(Verdict.SURVIVES),
+            ) == (row["conclusion"], row["excluded"], row["survives"]), row
 
     def test_refinement_input_validation(self):
         with pytest.raises(DomainError):

@@ -2,17 +2,18 @@
 
 Independent oracles: mpmath (mp.quad of the dihedral-angle integrand plus
 the Clausen form of the Lobachevsky kernel, 40 digits) for the frozen
-volumes; the (3,3,4) chain value back-solves from the printed 0.428850
+volumes, and the same recipe at 30 digits on grids for the kernel accuracy
+checks; the (3,3,4) chain value back-solves from the printed 0.428850
 bound.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from turnover.errors import DomainError
-from turnover.numerics import Tolerance
 from turnover.simplices import (
     THETA_MAX,
     ReturnPathCase,
@@ -40,6 +41,15 @@ BOUND_ORDER4 = 0.3839860716052123
 SEPARATION_245 = 0.9213650173505565
 THETA_ORDER5 = 0.9380371555226083
 BOUND_ORDER5 = 0.4602224494745811
+
+
+def mp_volume(theta: float) -> mpmath.mpf:
+    """Vol(T_theta) at 30 digits: 8 Cl_2(pi/2)/2 - 3 quad(acosh(...))."""
+    with mpmath.workdps(30):
+        integrand = lambda t: mpmath.acosh(mpmath.cos(t) / (2 * mpmath.cos(t) - 1))
+        return 4 * mpmath.clsin(2, mpmath.pi / 2) - 3 * mpmath.quad(
+            integrand, [0, mpmath.mpf(theta)]
+        )
 
 
 class TestEdgeAngle:
@@ -100,6 +110,15 @@ class TestVolume:
         with pytest.raises(DomainError):
             truncated_simplex_volume(THETA_MAX)
 
+    def test_matches_mpmath_on_grid(self):
+        """1e-13 relative up to pi/3 - 1e-8, where the integrand of the
+        textbook form has its log pole just outside the interval."""
+        lo, hi = 1e-6, THETA_MAX - 1e-8
+        for i in range(41):
+            theta = lo + (hi - lo) * i / 40
+            reference = float(mp_volume(theta))
+            assert truncated_simplex_volume(theta) == pytest.approx(reference, rel=1e-13)
+
 
 class TestRho3:
     def test_reference_value(self):
@@ -109,15 +128,18 @@ class TestRho3:
 
     def test_grid_is_finite_positive_and_quadrature_stable(self):
         """Finite and positive on the whole grid up to pi/3 - 1e-4, and
-        stable under a 10x tighter quadrature tolerance (the function itself
-        grows like 1/(pi - 3 theta) near the pole, which is fine)."""
-        tight = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+        within 1e-12 relative of mpmath (the function itself grows like
+        1/(pi - 3 theta) near the pole, which is fine; float rounding of
+        pi - 3 theta there costs a few 1e-13)."""
         thetas = [1e-4 + i * (THETA_MAX - 2e-4) / 60 for i in range(61)]
         for theta in thetas:
             r = edge_from_angle(theta) / 2.0
             value = rho3(r)
             assert math.isfinite(value) and value > 0.0
-            assert value == pytest.approx(rho3(r, tight), rel=1e-8)
+            angle = angle_from_edge(2.0 * r)
+            with mpmath.workdps(30):
+                reference = mp_volume(angle) / (4 * (mpmath.pi - 3 * mpmath.mpf(angle)))
+            assert value == pytest.approx(float(reference), rel=1e-12)
 
     def test_grid_is_increasing_in_theta(self):
         thetas = [1e-4 + i * (THETA_MAX - 2e-4) / 60 for i in range(61)]

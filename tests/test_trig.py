@@ -1,7 +1,9 @@
 """Tests for signatures, classification, areas, triangle solving, and the
 polygon laws.  Frozen values from mpmath at 40 digits."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -59,6 +61,16 @@ class TestSignature:
     def test_chi_is_exact(self):
         assert TurnoverSignature(3, 3, 3).chi_fraction() == 0
         assert TurnoverSignature(2, 4, 5).euler_char == pytest.approx(-0.05)
+
+    def test_stored_chi_is_not_a_field(self):
+        """chi is computed once per signature; equality, hashing, ordering,
+        repr and dataclasses.replace see only p, q, r."""
+        a, b = TurnoverSignature(5, 2, 4), TurnoverSignature(2, 4, 5)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "TurnoverSignature(p=2, q=4, r=5)"
+        assert [f.name for f in dataclasses.fields(a)] == ["p", "q", "r"]
+        assert sorted([TurnoverSignature(3, 3, 4), a]) == [a, TurnoverSignature(3, 3, 4)]
+        assert dataclasses.replace(a, r=7).chi_fraction() == Fraction(-3, 28)
 
 
 class TestClassify:
