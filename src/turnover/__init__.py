@@ -2,9 +2,9 @@
 
 Library layout:
 
-* ``numerics``  -- tolerances, bracketing root finder, adaptive quadrature,
-                   a fixed Gauss-Legendre rule, the Lobachevsky-type
-                   integral.
+* ``numerics``  -- tolerances, bracketing root finder, the one
+                   Gauss-Legendre quadrature path (order-raising loop and
+                   fixed rule), the Lobachevsky-type integral.
 * ``trig``      -- turnover signatures, classification, areas, triangle
                    solving, the quadrilateral and hexagon laws.
 * ``collars``   -- elliptic-axis distance bounds, the disk-radius cap, the

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import count, permutations, takewhile
 
 from .errors import DomainError
 from .trig import (
@@ -277,11 +277,15 @@ class ConeOrderSet:
         return len(self.orders)
 
 
+# {2, ..., 9}: no oblique-axis bound below 7, and delta_nn increases from 7.
+_BASE_ORDERS = tuple(range(2, 7)) + tuple(takewhile(oblique_order_admissible, count(7)))
+
+
 def cone_order_universe(sig: TurnoverSignature) -> ConeOrderSet:
     """All orders {2,...,9} plus {p,q,r,2p,2q,2r} that can appear on the
     boundary of the core containing an immersed (p,q,r) turnover."""
     require_hyperbolic(sig)
-    orders = set(range(2, 10))
+    orders = set(_BASE_ORDERS)
     for n in sig.orders:
         orders.add(n)
         orders.add(2 * n)

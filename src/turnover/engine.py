@@ -214,7 +214,6 @@ def miyamoto_case_scan(
     impossible open cases (k > 1 occurring once on the boundary) are
     omitted; by default everything is enumerated and reported.
     """
-    require_hyperbolic(boundary)
     area = turnover_area(boundary)
     records = []
     for k in [1] + sorted(set(boundary.orders)):

@@ -10,16 +10,12 @@ and failure modes are uniform.  The workhorses are
   two iterations.  The result is deterministic and carries the plain
   bisection guarantee.
 
-* ``integrate`` -- adaptive Simpson quadrature with special handling for
-  integrable endpoint singularities.  If the integrand is non-finite (or
-  raises) at an endpoint, the interval is split at a relative offset of
-  1e-6 from that endpoint; the smooth part is integrated adaptively and the
-  singular sliver is summed over dyadic shells shrinking toward the
-  endpoint until the shell contributions drop below the tolerance.  This is
-  enough for logarithmic singularities such as ``-log(2 sin u)`` at 0.
-
-* ``_leggauss`` / ``_fixed_rule`` -- cached Gauss-Legendre nodes (the one
-  node source of the package; the room quadrature uses them too) and one
+* One Gauss-Legendre quadrature path: ``_leggauss`` is the single node
+  source, ``_gauss_nodes`` maps it to [a, b], and ``_converge`` is the one
+  adaptive loop, raising the order through ``_NODE_COUNTS`` until two
+  estimates agree.  ``integrate`` and the room rules are estimates it runs;
+  ``integrate`` grades its nodes toward both ends, so log singularities
+  such as ``-log(2 sin u)`` at 0 need no probing.  ``_fixed_rule`` is one
   fixed 20-node rule for analytic integrands on [0, b].
 
 ``lobachevsky`` evaluates the function
@@ -58,8 +54,8 @@ __all__ = [
     "lobachevsky",
 ]
 
-# Relative offset used to split an interval away from a singular endpoint.
-_SINGULAR_SPLIT = 1e-6
+# Gauss-Legendre orders tried, in turn, by every adaptive rule.
+_NODE_COUNTS = (16, 24, 32, 48, 64, 96, 128, 192, 256)
 
 # Order of the fixed Gauss-Legendre rule behind the closed-form kernels.
 # 20 nodes pin L to a few 1e-16 absolute and Vol(T_theta) to below 1e-14
@@ -73,6 +69,10 @@ class Tolerance:
 
     The effective tolerance for a quantity of magnitude ``x`` is
     ``abs_tol + rel_tol * |x|``.
+
+    ``max_iter`` caps the iterations of ``find_root`` and the number of
+    Gauss-Legendre orders (of the nine in ``_NODE_COUNTS``) that ``integrate``
+    and the room quadratures try; with 1 no quadrature can converge.
     """
 
     abs_tol: float = 1e-12
@@ -160,121 +160,6 @@ def find_root(
     )
 
 
-def _probe(f: Callable[[float], float], x: float) -> tuple[float, bool]:
-    """Evaluate ``f`` at ``x``; report (value, is_finite)."""
-    try:
-        value = f(x)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        return math.nan, False
-    return value, math.isfinite(value)
-
-
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
-
-
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    eps: float,
-    max_depth: int,
-) -> float:
-    """Classical adaptive Simpson with per-level tolerance halving."""
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-
-    def recurse(a, m, b, fa, fm, fb, whole, eps, depth):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        if depth <= 0:
-            raise ConvergenceError(
-                f"quadrature did not converge on [{a}, {b}]"
-            )
-        half = 0.5 * eps
-        return recurse(a, lm, m, fa, flm, fm, left, half, depth - 1) + recurse(
-            m, rm, b, fm, frm, fb, right, half, depth - 1
-        )
-
-    return recurse(a, m, b, fa, fm, fb, whole, eps, max_depth)
-
-
-def _singular_tail(
-    f: Callable[[float], float],
-    edge: float,
-    inner: float,
-    tol: Tolerance,
-) -> float:
-    """Integrate from a singular endpoint ``edge`` up to ``inner``.
-
-    Dyadic shells [edge + w/2, edge + w] are integrated adaptively and
-    summed until a shell contributes less than a quarter of the absolute
-    tolerance; for an integrable logarithmic singularity the contributions
-    decay geometrically, so the discarded tail is below ``abs_tol``.
-    """
-    shell_eps = tol.abs_tol / 16.0
-    total = 0.0
-    outer = inner
-    width = inner - edge  # signed; shells stay on the singular side of inner
-    for _ in range(tol.max_iter):
-        width *= 0.5
-        cut = edge + width
-        lo, hi = min(cut, outer), max(cut, outer)
-        # Each shell is integrated left to right, which is already its
-        # oriented contribution on either side of the interval.
-        piece = _adaptive_simpson(f, lo, hi, shell_eps, tol.max_iter)
-        total += piece
-        outer = cut
-        if abs(piece) <= 0.25 * tol.abs_tol:
-            return total
-    raise ConvergenceError("endpoint singularity did not decay")
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
-    """Adaptive estimate of the integral of ``f`` over [a, b].
-
-    Integrable endpoint singularities of logarithmic type are handled; see
-    the module docstring.  Raises ``ConvergenceError`` when the subdivision
-    budget is exhausted.
-    """
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    if a > b:
-        return -integrate(f, b, a, tol)
-
-    singular_a = not _probe(f, a)[1]
-    singular_b = not _probe(f, b)[1]
-    width = b - a
-    lo = a + _SINGULAR_SPLIT * width if singular_a else a
-    hi = b - _SINGULAR_SPLIT * width if singular_b else b
-    if lo >= hi:
-        raise ConvergenceError("interval vanished while isolating singularities")
-
-    # Cheap scale estimate so the relative part of the tolerance is honored.
-    mid = 0.5 * (lo + hi)
-    rough = _simpson(f(lo), f(mid), f(hi), hi - lo)
-    eps = tol.abs_tol + tol.rel_tol * abs(rough)
-
-    total = _adaptive_simpson(f, lo, hi, eps, tol.max_iter)
-    if singular_a:
-        total += _singular_tail(f, edge=a, inner=lo, tol=tol)
-    if singular_b:
-        total += _singular_tail(f, edge=b, inner=hi, tol=tol)
-    return total
-
-
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple:
     """Gauss-Legendre nodes and weights of order ``n`` on [-1, 1], as numpy
@@ -285,6 +170,72 @@ def _leggauss(n: int) -> tuple:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _gauss_nodes(n: int, a: float, b: float) -> tuple:
+    """Order-``n`` Gauss-Legendre nodes and weights on [a, b] (numpy arrays)."""
+    x, w = _leggauss(n)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
+
+def _converge(estimate: Callable[[int], float], tol: Tolerance, what: str) -> float:
+    """Run ``estimate(n)`` over the first ``tol.max_iter`` of ``_NODE_COUNTS``
+    until two consecutive estimates agree to ``tol``; return the later one.
+    ``what`` names the integrand and its domain in the ``ConvergenceError``."""
+    orders = _NODE_COUNTS[: tol.max_iter]
+    previous = residual = math.nan
+    for n in orders:
+        total = estimate(n)
+        residual = abs(total - previous)
+        if residual <= tol.bound(total):
+            return total
+        previous = total
+    raise ConvergenceError(f"{what} did not converge in {len(orders)} orders (up to "
+                           f"{orders[-1]} nodes): residual {residual:.3g}")
+
+
+@lru_cache(maxsize=len(_NODE_COUNTS))
+def _graded_rule(n: int) -> tuple[tuple[float, float], ...]:
+    """(s(t), w s'(t)) over the lower half of the order-``n`` nodes t on
+    [0, 1], for s(t) = t^4 (35 - 84 t + 70 t^2 - 20 t^3).  s(1 - t) = 1 - s(t)
+    and the nodes are symmetric, so each pair serves both ends."""
+    nodes, weights = _gauss_nodes(n, 0.0, 1.0)
+    return tuple(
+        (t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3),
+         w * 140.0 * (t * (1.0 - t)) ** 3)
+        for t, w in zip(nodes[: n // 2].tolist(), weights[: n // 2].tolist())
+    )
+
+
+def integrate(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> float:
+    """Integral of ``f`` over [a, b] by the graded Gauss-Legendre rule, its
+    order raised until two estimates agree to ``tol``.
+
+    s'(t) = 140 t^3 (1 - t)^3 vanishes to third order at both ends, so
+    integrable log singularities at ``a`` or ``b`` need no special handling.
+    The outermost nodes lie about 1e-17 (b - a) from an end: at 192 and 256
+    nodes they can round onto an end that is not 0.
+    """
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0
+    if a > b:
+        return -integrate(f, b, a, tol)
+    width = b - a
+
+    def estimate(n: int) -> float:
+        return width * sum(
+            w * (f(a + width * s) + f(b - width * s)) for s, w in _graded_rule(n)
+        )
+
+    name = getattr(f, "__name__", repr(f))
+    return _converge(estimate, tol, f"integral of {name} on [{a}, {b}]")
+
+
 @lru_cache(maxsize=1)
 def _unit_rule() -> tuple[tuple[float, float], ...]:
     """The fixed rule on [0, 1] as (node, weight) float pairs.
@@ -292,8 +243,8 @@ def _unit_rule() -> tuple[tuple[float, float], ...]:
     Built on first use, so that importing the package does not load
     ``numpy.polynomial``.
     """
-    x, w = _leggauss(_FIXED_NODES)
-    return tuple(zip((0.5 * (x + 1.0)).tolist(), (0.5 * w).tolist()))
+    x, w = _gauss_nodes(_FIXED_NODES, 0.0, 1.0)
+    return tuple(zip(x.tolist(), w.tolist()))
 
 
 def _fixed_rule(f: Callable[[float], float], b: float) -> float:

@@ -30,11 +30,11 @@ a triangle strictly inside the unit disk of the projective model,
 
 and volume < floor_area / 2 pointwise.
 
-2-D quadrature is a tensor-product rule with automatic order doubling:
-Gauss-Legendre panels in the radial/affine directions and a periodic
-midpoint rule in theta.  Ceiling evaluators must accept numpy arrays (all
-built-in ceilings do).  Monte Carlo is used only as an independent oracle
-in the tests, never here.
+2-D quadrature is a tensor-product rule, Gauss-Legendre in the
+radial/affine directions and a periodic midpoint rule in theta, run by
+``numerics._converge``, the order-raising loop of ``integrate``.  Ceiling
+evaluators must accept numpy arrays (all built-in ceilings do).  Monte
+Carlo is used only as an independent oracle in the tests, never here.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InequalityViolation
-from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, _leggauss, find_root
+from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, find_root
+from .numerics import _converge, _gauss_nodes
 
 __all__ = [
     "PolarDisk",
@@ -194,32 +195,22 @@ class RoomSpec:
 
 # --- tensor-product quadrature ----------------------------------------------
 
-_NODE_COUNTS = (16, 24, 32, 48, 64, 96, 128, 192, 256)
-
-
-def _gauss_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
 
 def _disk_quadrature(integrand: Callable, radius: float, tol: Tolerance) -> float:
     """Integrate ``integrand(r, theta)`` over [0, radius] x [0, 2 pi].
 
     The integrand must already include every metric factor.  Gauss panels in
-    r, periodic midpoints in theta, orders doubled until two sweeps agree.
+    r, periodic midpoints in theta, orders raised by ``_converge``.
     """
-    previous = None
-    for n in _NODE_COUNTS:
+
+    def estimate(n: int) -> float:
         r, wr = _gauss_nodes(n, 0.0, radius)
         m = 2 * n
         theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
         values = integrand(r[:, None], theta[None, :])
-        total = float((2.0 * math.pi / m) * wr @ values.sum(axis=1))
-        if previous is not None and abs(total - previous) <= tol.bound(total):
-            return total
-        previous = total
-    raise ConvergenceError("disk quadrature did not converge")
+        return float((2.0 * math.pi / m) * wr @ values.sum(axis=1))
+
+    return _converge(estimate, tol, f"disk quadrature on [0, {radius}] x [0, 2 pi]")
 
 
 def _triangle_quadrature(
@@ -234,20 +225,17 @@ def _triangle_quadrature(
     e1 = (bx - ax, by - ay)
     e2 = (cx - bx, cy - by)
     jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    previous = None
-    for n in _NODE_COUNTS:
-        u, wu = _gauss_nodes(n, 0.0, 1.0)
-        v, wv = _gauss_nodes(n, 0.0, 1.0)
+
+    def estimate(n: int) -> float:
+        u, w = _gauss_nodes(n, 0.0, 1.0)
         U = u[:, None]
-        V = v[None, :]
+        V = u[None, :]
         x = ax + U * (e1[0] + V * e2[0])
         y = ay + U * (e1[1] + V * e2[1])
         values = point_fn(x, y) * U * jac
-        total = float(wu @ values @ wv)
-        if previous is not None and abs(total - previous) <= tol.bound(total):
-            return total
-        previous = total
-    raise ConvergenceError("triangle quadrature did not converge")
+        return float(w @ values @ w)
+
+    return _converge(estimate, tol, f"triangle quadrature over {tri.vertices}")
 
 
 def _require_disk(floor: FloorRegion) -> PolarDisk:

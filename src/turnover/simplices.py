@@ -164,13 +164,10 @@ def _theta_for(sig: TurnoverSignature, k: int, closed: bool) -> float:
 
     Keeping the denominator rational makes clean cases exact: the boundary
     (3,3,4) with k = 4 closed gives denominator 4 and theta = pi/4 on the
-    nose.
+    nose.  ``sig`` must be hyperbolic; ``ReturnPathCase.build`` checks.
     """
-    chi = sig.chi_fraction()
-    if chi >= 0:
-        raise DomainError(f"boundary {sig} is not hyperbolic (chi >= 0)")
     weight = Fraction(k) if closed else Fraction(k, 2)
-    denominator = 3 * (1 - weight * chi)
+    denominator = 3 * (1 - weight * sig.chi_fraction())
     return math.pi / float(denominator)
 
 

@@ -142,6 +142,15 @@ class TestIntegrate:
         with pytest.raises(ConvergenceError):
             integrate(lambda x: math.sin(50.0 * x), 0.0, 3.0, nasty)
 
+    def test_nonconvergence_names_integrand_domain_and_residual(self):
+        nasty = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=2)
+        with pytest.raises(ConvergenceError, match=r"<lambda> on \[0\.0, 3\.0\].*residual"):
+            integrate(lambda x: math.sin(50.0 * x), 0.0, 3.0, nasty)
+
+    def test_log_singularities_at_both_endpoints(self):
+        value = integrate(lambda u: math.log(u * (1.0 - u)), 0.0, 1.0)
+        assert value == pytest.approx(-2.0, abs=1e-10)
+
     @settings(max_examples=40, deadline=None)
     @given(
         coeffs=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=4),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from turnover import rooms
-from turnover.errors import DomainError
+from turnover.errors import ConvergenceError, DomainError
 from turnover.numerics import Tolerance
 from turnover.rooms import (
     CeilingFunction,
@@ -251,6 +251,12 @@ class TestIsoperimetricCheck:
         for spec in specs:
             assert spec.margin > -1e-9
             assert spec.volume < 0.5 * constant_H() * spec.ceiling_area + 1e-9
+
+    def test_max_iter_caps_quadrature_orders(self):
+        with pytest.raises(ConvergenceError, match="disk quadrature.*residual"):
+            isoperimetric_check(
+                PolarDisk(1.0), CeilingFunction.constant(1.2), Tolerance(max_iter=1)
+            )
 
     def test_sweep_count_validation(self):
         with pytest.raises(DomainError):
