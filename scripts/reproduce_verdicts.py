@@ -16,6 +16,7 @@ from turnover.engine import (
     make_ledger,
     registry,
 )
+from turnover.numerics import constant_H
 from turnover.trig import TurnoverSignature, turnover_area
 
 
@@ -61,8 +62,6 @@ def show_volume_verdicts():
 
 def show_registry_consistency():
     print("== registry consistency against the volume caps")
-    from turnover.rooms import constant_H
-
     for entry in registry():
         for sig in entry.known_immersed:
             cap = turnover_area(sig) / entry.extension_index

@@ -2,9 +2,9 @@
 
 Library layout:
 
-* ``numerics``  -- tolerances, bracketing root finder, the one
-                   Gauss-Legendre quadrature path (order-raising loop and
-                   fixed rule), the Lobachevsky-type integral.
+* ``numerics``  -- tolerances, bracketing root finder, H*, the one
+                   Gauss-Legendre quadrature path (pure-Python nodes,
+                   order-raising loop, fixed rule), the Lobachevsky integral.
 * ``trig``      -- turnover signatures, classification, areas, triangle
                    solving, the quadrilateral and hexagon laws.
 * ``collars``   -- elliptic-axis distance bounds, the disk-radius cap, the
@@ -12,7 +12,7 @@ Library layout:
 * ``simplices`` -- regular truncated 3-simplices, the density rho3, and
                    return-path length bounds.
 * ``rooms``     -- floor/ceiling/room integrals, the isoperimetric check,
-                   and the cusp prism bound.
+                   the cusp prism bound; the only module that imports numpy.
 * ``engine``    -- budgets, candidate enumeration, case scans, refinements,
                    volume exclusions, the orbifold registry.
 * ``cli``       -- the ``turnover`` command.

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import collars, engine, rooms, trig
+from . import collars, engine, trig
 from .errors import ConvergenceError, DomainError, InequalityViolation
 from .numerics import DEFAULT_TOLERANCE, Tolerance
 from .simplices import TruncatedSimplexSpec
@@ -208,6 +208,7 @@ def _cmd_rho3(args, tol):
 
 
 def _cmd_room_check(args, tol):
+    from . import rooms  # imported here: rooms loads numpy, which no other command needs
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
     if args.constant is not None:

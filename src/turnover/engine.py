@@ -43,8 +43,7 @@ from typing import Iterable
 
 from .collars import ConeOrderSet, refined_boundary_orders
 from .errors import DomainError
-from .numerics import DEFAULT_TOLERANCE, Tolerance
-from .rooms import constant_H
+from .numerics import DEFAULT_TOLERANCE, Tolerance, constant_H
 from .simplices import (
     ReturnPathCase,
     angle_from_edge,

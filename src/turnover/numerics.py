@@ -1,4 +1,4 @@
-"""Deterministic scalar numerics: root finder, quadrature, Lobachevsky kernel.
+"""Deterministic scalar numerics: root finder, H*, quadrature, Lobachevsky kernel.
 
 Everything downstream (hyperbolic trigonometry, volume bounds, room
 integrals) funnels its 1-D numerics through this module so that tolerances
@@ -8,13 +8,13 @@ and failure modes are uniform.  The workhorses are
   usual superlinear convergence, but a bisection step is forced on every
   other iteration so the bracket width provably halves at least once per
   two iterations.  The result is deterministic and carries the plain
-  bisection guarantee.
+  bisection guarantee.  ``constant_H`` is H*, its root of x = coth x.
 
 * One Gauss-Legendre quadrature path: ``_leggauss`` is the single node
-  source, ``_gauss_nodes`` maps it to [a, b], and ``_converge`` is the one
-  adaptive loop, raising the order through ``_NODE_COUNTS`` until two
-  estimates agree.  ``integrate`` and the room rules are estimates it runs;
-  ``integrate`` grades its nodes toward both ends, so log singularities
+  source, in pure Python (only ``rooms`` imports numpy), and ``_converge``
+  is the one adaptive loop, raising the order through ``_NODE_COUNTS`` until
+  two estimates agree.  ``integrate`` and the room rules are estimates it
+  runs; ``integrate`` grades its nodes toward both ends, so log singularities
   such as ``-log(2 sin u)`` at 0 need no probing.  ``_fixed_rule`` is one
   fixed 20-node rule for analytic integrands on [0, b].
 
@@ -50,6 +50,7 @@ __all__ = [
     "Bracket",
     "DEFAULT_TOLERANCE",
     "find_root",
+    "constant_H",
     "integrate",
     "lobachevsky",
 ]
@@ -114,6 +115,10 @@ class Bracket:
         object.__setattr__(self, "hi", hi)
 
 
+def _name(f: Callable) -> str:
+    return getattr(f, "__name__", repr(f))
+
+
 def find_root(
     f: Callable[[float], float],
     bracket: Bracket,
@@ -156,25 +161,35 @@ def find_root(
         else:
             b, fb = x, fx
     raise ConvergenceError(
-        f"root not bracketed to tolerance within {tol.max_iter} iterations"
+        f"root of {_name(f)} not bracketed to tolerance within {tol.max_iter} "
+        f"iterations: final bracket [{a}, {b}], width {b - a:.3g}"
     )
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple:
-    """Gauss-Legendre nodes and weights of order ``n`` on [-1, 1], as numpy
-    arrays.  numpy is imported on first use: the scalar numerics and
-    ``import turnover`` do not need it."""
-    import numpy as np
-
-    return np.polynomial.legendre.leggauss(n)
+@lru_cache(maxsize=8)
+def constant_H(tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+    """H*, the positive solution of x = coth x (about 1.199679), cached."""
+    return find_root(lambda x: x - math.cosh(x) / math.sinh(x), Bracket(1.0, 2.0), tol)
 
 
-def _gauss_nodes(n: int, a: float, b: float) -> tuple:
-    """Order-``n`` Gauss-Legendre nodes and weights on [a, b] (numpy arrays)."""
-    x, w = _leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+@lru_cache(maxsize=len(_NODE_COUNTS) + 1)
+def _leggauss(n: int) -> tuple[tuple[float, float], ...]:
+    """Order-``n`` Gauss-Legendre (node, weight) float pairs on [-1, 1], nodes
+    ascending: Newton on k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2} from
+    cos(pi (i + 3/4) / (n + 1/2)), weight 2 / ((1 - x^2) P_n'(x)^2), roots mirrored."""
+    pairs = []
+    for i in range((n + 1) // 2):
+        x, dx = math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1.0
+        while True:  # the last pass evaluates P at the converged x
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            slope = n * (p_prev - x * p)  # (1 - x^2) P_n'(x)
+            if abs(dx) <= 1e-15:
+                break
+            x -= (dx := p * (1.0 - x * x) / slope)
+        pairs.append((x, 2.0 * (1.0 - x * x) / slope**2))
+    return tuple((-x, w) for x, w in pairs) + tuple(pairs[: n // 2][::-1])
 
 
 def _converge(estimate: Callable[[int], float], tol: Tolerance, what: str) -> float:
@@ -198,11 +213,11 @@ def _graded_rule(n: int) -> tuple[tuple[float, float], ...]:
     """(s(t), w s'(t)) over the lower half of the order-``n`` nodes t on
     [0, 1], for s(t) = t^4 (35 - 84 t + 70 t^2 - 20 t^3).  s(1 - t) = 1 - s(t)
     and the nodes are symmetric, so each pair serves both ends."""
-    nodes, weights = _gauss_nodes(n, 0.0, 1.0)
+    lower = ((0.5 * (x + 1.0), w) for x, w in _leggauss(n)[: n // 2])
     return tuple(
         (t**4 * (35.0 - 84.0 * t + 70.0 * t * t - 20.0 * t**3),
-         w * 140.0 * (t * (1.0 - t)) ** 3)
-        for t, w in zip(nodes[: n // 2].tolist(), weights[: n // 2].tolist())
+         w * 70.0 * (t * (1.0 - t)) ** 3)
+        for t, w in lower
     )
 
 
@@ -217,8 +232,9 @@ def integrate(
 
     s'(t) = 140 t^3 (1 - t)^3 vanishes to third order at both ends, so
     integrable log singularities at ``a`` or ``b`` need no special handling.
-    The outermost nodes lie about 1e-17 (b - a) from an end: at 192 and 256
-    nodes they can round onto an end that is not 0.
+    The outermost nodes lie about 1e-17 (b - a) from an end, and at 192 and
+    256 nodes they can round onto an end that is not 0; such a node is
+    skipped, so ``f`` is never evaluated at ``a`` or ``b``.
     """
     a, b = float(a), float(b)
     if a == b:
@@ -228,23 +244,11 @@ def integrate(
     width = b - a
 
     def estimate(n: int) -> float:
-        return width * sum(
-            w * (f(a + width * s) + f(b - width * s)) for s, w in _graded_rule(n)
-        )
+        points = ((x, w) for s, w in _graded_rule(n)
+                  for x in (a + width * s, b - width * s))
+        return width * sum(w * f(x) for x, w in points if a < x < b)
 
-    name = getattr(f, "__name__", repr(f))
-    return _converge(estimate, tol, f"integral of {name} on [{a}, {b}]")
-
-
-@lru_cache(maxsize=1)
-def _unit_rule() -> tuple[tuple[float, float], ...]:
-    """The fixed rule on [0, 1] as (node, weight) float pairs.
-
-    Built on first use, so that importing the package does not load
-    ``numpy.polynomial``.
-    """
-    x, w = _gauss_nodes(_FIXED_NODES, 0.0, 1.0)
-    return tuple(zip(x.tolist(), w.tolist()))
+    return _converge(estimate, tol, f"integral of {_name(f)} on [{a}, {b}]")
 
 
 def _fixed_rule(f: Callable[[float], float], b: float) -> float:
@@ -253,7 +257,8 @@ def _fixed_rule(f: Callable[[float], float], b: float) -> float:
     Only for integrands analytic on a neighbourhood of [0, b], where the
     error of the rule is pinned by the tests rather than estimated.
     """
-    return b * sum(w * f(b * x) for x, w in _unit_rule())
+    h = 0.5 * b
+    return h * sum(w * f(h + h * x) for x, w in _leggauss(_FIXED_NODES))
 
 
 def _log_sinc(u: float) -> float:

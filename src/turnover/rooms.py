@@ -32,9 +32,9 @@ and volume < floor_area / 2 pointwise.
 
 2-D quadrature is a tensor-product rule, Gauss-Legendre in the
 radial/affine directions and a periodic midpoint rule in theta, run by
-``numerics._converge``, the order-raising loop of ``integrate``.  Ceiling
-evaluators must accept numpy arrays (all built-in ceilings do).  Monte
-Carlo is used only as an independent oracle in the tests, never here.
+``numerics._converge`` on arrays of ``numerics._leggauss`` nodes; no other
+module imports numpy.  Ceiling evaluators must accept numpy arrays (all
+built-in ceilings do).  Monte Carlo is only a test oracle, never used here.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InequalityViolation
-from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, find_root
-from .numerics import _converge, _gauss_nodes
+from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, constant_H, find_root
+from .numerics import _NODE_COUNTS, _converge, _leggauss
 
 __all__ = [
     "PolarDisk",
@@ -196,6 +196,13 @@ class RoomSpec:
 # --- tensor-product quadrature ----------------------------------------------
 
 
+@lru_cache(maxsize=len(_NODE_COUNTS))
+def _unit_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-``n`` Gauss-Legendre nodes and weights on [0, 1] as arrays."""
+    x, w = np.array(_leggauss(n)).T
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def _disk_quadrature(integrand: Callable, radius: float, tol: Tolerance) -> float:
     """Integrate ``integrand(r, theta)`` over [0, radius] x [0, 2 pi].
 
@@ -204,11 +211,11 @@ def _disk_quadrature(integrand: Callable, radius: float, tol: Tolerance) -> floa
     """
 
     def estimate(n: int) -> float:
-        r, wr = _gauss_nodes(n, 0.0, radius)
+        u, w = _unit_nodes(n)
         m = 2 * n
         theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-        values = integrand(r[:, None], theta[None, :])
-        return float((2.0 * math.pi / m) * wr @ values.sum(axis=1))
+        values = integrand(radius * u[:, None], theta[None, :])
+        return float((2.0 * math.pi / m) * radius * w @ values.sum(axis=1))
 
     return _converge(estimate, tol, f"disk quadrature on [0, {radius}] x [0, 2 pi]")
 
@@ -227,9 +234,8 @@ def _triangle_quadrature(
     jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
 
     def estimate(n: int) -> float:
-        u, w = _gauss_nodes(n, 0.0, 1.0)
-        U = u[:, None]
-        V = u[None, :]
+        u, w = _unit_nodes(n)
+        U, V = u[:, None], u[None, :]
         x = ax + U * (e1[0] + V * e2[0])
         y = ay + U * (e1[1] + V * e2[1])
         values = point_fn(x, y) * U * jac
@@ -313,12 +319,6 @@ def nice_ceiling_area(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) 
 
 def _nice_area(V: float, A_F: float, H: float) -> float:
     return 0.5 * (A_F + math.sqrt(A_F**2 + 4.0 * (2.0 * V - H * A_F) ** 2))
-
-
-@lru_cache(maxsize=8)
-def constant_H(tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """The positive solution of x = coth x (about 1.199679), cached."""
-    return find_root(lambda x: x - math.cosh(x) / math.sinh(x), Bracket(1.0, 2.0), tol)
 
 
 def nice_room_ratio(H: float) -> float:

@@ -3,9 +3,14 @@ and exit codes (0 success, 2 usage/domain, 3 numeric failure)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import turnover
 from turnover.cli import main
 
 # bounds 2 4 5 with_boundary (H* Area, H* from find_root) at the default
@@ -233,3 +238,22 @@ class TestGlobalFlags:
         for argv in commands:
             payload = run_json(capsys, *argv)
             assert isinstance(payload, dict)
+
+
+def test_analysis_commands_never_load_numpy():
+    """Only room-check needs numpy; a fresh interpreter running the analysis
+    commands must not import it."""
+    program = "\n".join([
+        "import sys",
+        "from turnover.cli import main",
+        "for argv in (['analyze', '2', '4', '5', '--json'], ['bounds', '2', '4', '5'],",
+        "             ['rho3', '--theta', '0.785']):",
+        "    assert main(argv) == 0, argv",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    env = dict(os.environ)
+    src = str(Path(turnover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -314,6 +314,21 @@ class TestVolumeExclusion:
         with pytest.raises(DomainError):
             exclusion_by_volume(0.0, sig(2, 4, 5), False)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        orders=st.tuples(*[st.integers(min_value=2, max_value=60)] * 3).filter(
+            lambda o: sum(Fraction(1, n) for n in o) < 1
+        ),
+        excess=st.floats(min_value=0.0, max_value=1e3),
+    )
+    def test_corollary_volume_at_least_two_pi_excludes(self, orders, excess):
+        """Area(sig) < 2 pi for every hyperbolic turnover, so an orbifold of
+        volume >= 2 pi without embedded turnovers has no immersed one."""
+        s = sig(*orders)
+        assert turnover_area(s) < 2.0 * math.pi
+        volume = 2.0 * math.pi + excess
+        assert exclusion_by_volume(volume, s, has_embedded_turnovers=False) is Verdict.EXCLUDED
+
 
 class TestAnalyze:
     def test_245_full_pipeline(self):

@@ -9,6 +9,7 @@ asks for one.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 
 from turnover.errors import BracketError, ConvergenceError, DomainError
 from turnover.numerics import (
+    _FIXED_NODES,
+    _NODE_COUNTS,
     Bracket,
     Tolerance,
+    _leggauss,
     find_root,
     integrate,
     lobachevsky,
@@ -87,7 +91,7 @@ class TestFindRoot:
 
     def test_max_iter_exhaustion(self):
         tight = Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=r"<lambda>.*final bracket \[.+, .+\], width"):
             find_root(lambda x: math.tanh(10 * (x - 0.1234567)), Bracket(0.0, 1.0), tight)
 
     @given(root=st.floats(min_value=-5.0, max_value=5.0), scale=st.floats(min_value=0.1, max_value=4.0))
@@ -151,6 +155,17 @@ class TestIntegrate:
         value = integrate(lambda u: math.log(u * (1.0 - u)), 0.0, 1.0)
         assert value == pytest.approx(-2.0, abs=1e-10)
 
+    def test_log_singularity_at_nonzero_endpoint(self):
+        value = integrate(lambda u: math.log(u - 1.0), 1.0, 2.0)
+        assert value == pytest.approx(-1.0, abs=1e-12)
+
+    def test_never_evaluates_an_endpoint(self):
+        # At 192 and 256 nodes the outermost graded node rounds onto a = 1;
+        # the unreachable tolerance must end in ConvergenceError, not in
+        # log(0).
+        with pytest.raises(ConvergenceError):
+            integrate(lambda u: math.log(u - 1.0), 1.0, 2.0, Tolerance(1e-16, 0.0))
+
     @settings(max_examples=40, deadline=None)
     @given(
         coeffs=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=4),
@@ -164,6 +179,23 @@ class TestIntegrate:
         split = integrate(f, a, b) + integrate(f, b, c)
         scale = sum(abs(cc) for cc in coeffs) + abs(whole)
         assert abs(split - whole) < 1e-10 * (1.0 + scale)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", sorted({_FIXED_NODES, *_NODE_COUNTS}))
+    def test_matches_numpy_leggauss(self, n):
+        nodes, weights = zip(*_leggauss(n))
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert len(nodes) == len(weights) == n
+        assert max(abs(x - r) for x, r in zip(nodes, ref_nodes)) <= 2.3e-16
+        assert max(abs(w - r) for w, r in zip(weights, ref_weights)) <= 5e-14
+        assert abs(math.fsum(weights) - 2.0) <= 1e-14
+
+    def test_float_pairs_ascending_and_symmetric(self):
+        nodes, weights = zip(*_leggauss(_FIXED_NODES))
+        assert all(type(v) is float for v in nodes + weights)
+        assert list(nodes) == sorted(nodes)
+        assert nodes == tuple(-x for x in reversed(nodes))
 
 
 class TestLobachevsky:
