@@ -16,7 +16,6 @@ from turnover.engine import (
     make_ledger,
     registry,
 )
-from turnover.numerics import constant_H
 from turnover.trig import TurnoverSignature, turnover_area
 
 
@@ -64,9 +63,9 @@ def show_registry_consistency():
     print("== registry consistency against the volume caps")
     for entry in registry():
         for sig in entry.known_immersed:
-            cap = turnover_area(sig) / entry.extension_index
-            if entry.has_embedded:
-                cap *= constant_H()
+            ledger = make_ledger(sig, entry.extension_index)
+            cap = (ledger.upper_bound_with_boundary if entry.has_embedded
+                   else ledger.upper_bound_no_boundary)
             flag = "ok" if entry.volume < cap else "CONTRADICTION"
             print(f"   {entry.name}: volume {entry.volume:.6f} < cap {cap:.6f}"
                   f" for immersed {sig} [{flag}]")

@@ -4,6 +4,10 @@ Every subcommand builds a JSON-serializable payload first and renders the
 text view from it, so the two output modes always agree; ``--json`` prints
 the payload itself.  Numeric text output uses 10 significant digits.
 
+Every subcommand takes ``--json``.  Only ``room-check`` iterates to a
+tolerance, so only it takes ``--tol`` (else ``TURNOVER_TOL``) and
+``--seed``; on any other command either flag is a usage error.
+
 Exit codes: 0 success, 2 usage or domain error, 3 numeric failure
 (non-convergence or a violated theorem-backed inequality).
 """
@@ -34,10 +38,10 @@ def _signature(args) -> TurnoverSignature:
     return TurnoverSignature(args.p, args.q, args.r)
 
 
-# --- subcommand payload builders: (args, tol) -> (payload dict, text lines) ---
+# --- subcommand payload builders: args -> (payload dict, text lines) ---
 
 
-def _cmd_area(args, tol):
+def _cmd_area(args):
     sig = _signature(args)
     kind = trig.classify(sig)
     payload = {"signature": list(sig.orders), "class": kind.value}
@@ -49,13 +53,13 @@ def _cmd_area(args, tol):
     return payload, text
 
 
-def _cmd_classify(args, tol):
+def _cmd_classify(args):
     sig = _signature(args)
     kind = trig.classify(sig)
     return {"signature": list(sig.orders), "class": kind.value}, [kind.value]
 
 
-def _cmd_delta(args, tol):
+def _cmd_delta(args):
     pair = collars.EllipticPair(args.n, args.m)
     payload = {
         "n": pair.n,
@@ -70,7 +74,7 @@ def _cmd_delta(args, tol):
     return payload, text
 
 
-def _cmd_orders(args, tol):
+def _cmd_orders(args):
     sig = _signature(args)
     universe = collars.cone_order_universe(sig)
     refined = collars.refined_boundary_orders(sig)
@@ -92,7 +96,7 @@ def _cmd_orders(args, tol):
     return payload, text
 
 
-def _cmd_supergroups(args, tol):
+def _cmd_supergroups(args):
     if args.table:
         payload = {"table": collars.supergroup_table_json()}
         text = [
@@ -122,8 +126,8 @@ def _cmd_supergroups(args, tol):
     return payload, text
 
 
-def _cmd_bounds(args, tol):
-    ledger = engine.make_ledger(_signature(args), args.ext, tol)
+def _cmd_bounds(args):
+    ledger = engine.make_ledger(_signature(args), args.ext)
     payload = {
         "signature": list(ledger.sig.orders),
         "extension_index": ledger.extension_index,
@@ -143,9 +147,9 @@ def _cmd_bounds(args, tol):
     return payload, text
 
 
-def _cmd_candidates(args, tol):
+def _cmd_candidates(args):
     sig = _signature(args)
-    ledger = engine.make_ledger(sig, args.ext, tol)
+    ledger = engine.make_ledger(sig, args.ext)
     orders = collars.refined_boundary_orders(sig)
     rows = engine.boundary_candidates(ledger, orders)
     payload = {
@@ -158,8 +162,8 @@ def _cmd_candidates(args, tol):
     return payload, text
 
 
-def _cmd_analyze(args, tol):
-    report = engine.analyze(_signature(args), args.ext, tol=tol)
+def _cmd_analyze(args):
+    report = engine.analyze(_signature(args), args.ext)
     payload = report.to_dict()
     text = [
         f"signature {report.ledger.sig}, extension index {report.ledger.extension_index}",
@@ -185,7 +189,7 @@ def _cmd_analyze(args, tol):
     return payload, text
 
 
-def _cmd_rho3(args, tol):
+def _cmd_rho3(args):
     if (args.theta is None) == (args.edge is None):
         raise DomainError("give exactly one of --theta or --edge")
     if args.theta is not None:
@@ -207,10 +211,14 @@ def _cmd_rho3(args, tol):
     return payload, text
 
 
-def _cmd_room_check(args, tol):
+def _cmd_room_check(args):
     from . import rooms  # imported here: rooms loads numpy, which no other command needs
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
+    tol = args.tol
+    if tol is None and os.environ.get("TURNOVER_TOL"):
+        tol = float(os.environ["TURNOVER_TOL"])
+    tol = DEFAULT_TOLERANCE if tol is None else Tolerance(abs_tol=tol, rel_tol=tol)
     if args.constant is not None:
         floor = rooms.PolarDisk(1.0)
         ceiling = rooms.CeilingFunction.constant(args.constant)
@@ -228,7 +236,7 @@ def _cmd_room_check(args, tol):
     return payload, text
 
 
-def _cmd_registry(args, tol):
+def _cmd_registry(args):
     payload = {"registry": engine.registry_json()}
     text = []
     for row in payload["registry"]:
@@ -258,9 +266,6 @@ def _add_signature_args(parser, optional=False):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override default tolerances (abs and rel)")
-    common.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
 
     parser = argparse.ArgumentParser(
         prog="turnover",
@@ -317,23 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("room-check", parents=[common],
                        help="seeded isoperimetric sweeps")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random sweep")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--constant", type=float, default=None,
                    help="check a single constant ceiling of this height instead")
+    p.add_argument("--tol", type=float, default=None,
+                   help="quadrature and root tolerance, abs and rel (else TURNOVER_TOL)")
     p.set_defaults(handler=_cmd_room_check)
 
     p = sub.add_parser("registry", parents=[common], help="cited orbifold registry")
     p.set_defaults(handler=_cmd_registry)
 
     return parser
-
-
-def _tolerance(args) -> Tolerance:
-    """This invocation's tolerance: --tol, else TURNOVER_TOL, else the default."""
-    tol = args.tol
-    if tol is None and os.environ.get("TURNOVER_TOL"):
-        tol = float(os.environ["TURNOVER_TOL"])
-    return DEFAULT_TOLERANCE if tol is None else Tolerance(abs_tol=tol, rel_tol=tol)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -343,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        payload, text = args.handler(args, _tolerance(args))
+        payload, text = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

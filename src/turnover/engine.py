@@ -7,15 +7,17 @@ H* Area(sig) (or Area(sig) when N is closed), with H* the positive solution
 of x = coth x.  When the turnover group sits inside a reflection extension
 the budgets halve, tracked by ``extension_index`` in {1, 2}.  The pipeline:
 
-1. ``make_ledger``     -- the area/volume budgets for ``sig``.
+1. ``make_ledger``     -- the area/volume budgets for ``sig``, including
+   the volume caps Area(sig) and H* Area(sig) (divided by the extension
+   index) that the case scans and ``exclusion_by_volume`` compare against.
 2. ``boundary_candidates`` -- every turnover type that fits on the core
    boundary: all three cone orders from an admissible set and area strictly
    below the two-sided budget (projection onto the boundary strictly
    decreases area, so equality is excluded).
 3. ``miyamoto_case_scan``  -- for each candidate boundary, enumerate the
-   return-path cases (k, closed); each yields a volume lower bound
-   rho3(l/2) * Area(boundary), and a case is Excluded when that bound
-   exceeds the ledger's upper bound.
+   return-path cases (k, closed), less the open ones that must close; each
+   yields a volume lower bound rho3(l/2) * Area(boundary), and a case is
+   Excluded when that bound exceeds the ledger's upper bound.
 4. ``order4_refinement`` / ``order5_refinement`` -- sharper per-case bounds
    from configuration-specific inputs (an exactly known embedded disk
    radius, or a perpendicular separation whose doubling bounds a closed
@@ -25,6 +27,10 @@ the budgets halve, tracked by ``extension_index`` in {1, 2}.  The pipeline:
 5. ``exclusion_by_volume`` -- an orbifold of known volume cannot contain an
    immersed turnover whose budget it exceeds.
 6. ``analyze``         -- the whole chain, producing an ``AnalysisReport``.
+
+No step reads a tolerance: H* is the one constant ``constant_H()``, so a
+verdict depends only on the signature, the extension index and the
+refinement inputs.
 
 Mirrored-triangle boundary pieces are not enumerated separately: each one
 is doubly covered by a turnover, and they enter the piece count only
@@ -43,7 +49,7 @@ from typing import Iterable
 
 from .collars import ConeOrderSet, refined_boundary_orders
 from .errors import DomainError
-from .numerics import DEFAULT_TOLERANCE, Tolerance, constant_H
+from .numerics import constant_H
 from .simplices import (
     ReturnPathCase,
     angle_from_edge,
@@ -73,7 +79,6 @@ __all__ = [
     "exclusion_by_volume",
     "RefinementInput",
     "RefinementRecord",
-    "AnalyzeOptions",
     "AnalysisReport",
     "known_refinements",
     "analyze",
@@ -117,11 +122,7 @@ class BoundLedger:
     max_boundary_pieces: int
 
 
-def make_ledger(
-    sig: TurnoverSignature,
-    extension_index: int = 1,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> BoundLedger:
+def make_ledger(sig: TurnoverSignature, extension_index: int = 1) -> BoundLedger:
     require_hyperbolic(sig)
     if extension_index not in (1, 2):
         raise DomainError(f"extension index must be 1 or 2, got {extension_index}")
@@ -134,7 +135,7 @@ def make_ledger(
         extension_index=extension_index,
         area=area,
         two_sided_budget=2.0 * no_boundary,
-        upper_bound_with_boundary=constant_H(tol) * no_boundary,
+        upper_bound_with_boundary=constant_H() * no_boundary,
         upper_bound_no_boundary=no_boundary,
         max_boundary_pieces=math.floor(pieces),
     )
@@ -201,23 +202,19 @@ def _verdict(ledger: BoundLedger, lower_bound: float) -> Verdict:
 
 
 def miyamoto_case_scan(
-    ledger: BoundLedger,
-    boundary: TurnoverSignature,
-    *,
-    skip_forced_closed: bool = False,
+    ledger: BoundLedger, boundary: TurnoverSignature
 ) -> list[CaseRecord]:
     """Enumerate return-path cases for ``boundary`` against the ledger.
 
     k ranges over {1} plus the cone orders of the boundary, each with
-    closed in {True, False}.  With ``skip_forced_closed`` the geometrically
-    impossible open cases (k > 1 occurring once on the boundary) are
-    omitted; by default everything is enumerated and reported.
+    closed in {True, False}, except the geometrically impossible open cases
+    (k > 1 occurring once on the boundary, so the path must close).
     """
     area = turnover_area(boundary)
     records = []
     for k in [1] + sorted(set(boundary.orders)):
         for closed in (True, False):
-            if not closed and skip_forced_closed and _forced_closed(boundary, k):
+            if not closed and _forced_closed(boundary, k):
                 continue
             case = ReturnPathCase.build(boundary, k, closed)
             bound = miyamoto_lower_bound(area, case.min_length)
@@ -281,9 +278,9 @@ def exclusion_by_volume(
     """
     if not (orbifold_volume > 0.0 and math.isfinite(orbifold_volume)):
         raise DomainError(f"orbifold volume must be positive, got {orbifold_volume}")
-    cap = turnover_area(sig)
-    if has_embedded_turnovers:
-        cap *= constant_H()
+    ledger = make_ledger(sig)
+    cap = (ledger.upper_bound_with_boundary if has_embedded_turnovers
+           else ledger.upper_bound_no_boundary)
     return Verdict.EXCLUDED if cap < orbifold_volume else Verdict.SURVIVES
 
 
@@ -329,12 +326,6 @@ class RefinementRecord:
             "lower_bound": self.lower_bound,
             "verdict": self.verdict.value,
         }
-
-
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    refinements: tuple[RefinementInput, ...] = ()
-    skip_forced_closed: bool = True
 
 
 def known_refinements(sig: TurnoverSignature) -> tuple[RefinementInput, ...]:
@@ -408,35 +399,30 @@ class AnalysisReport:
 def analyze(
     sig: TurnoverSignature,
     extension_index: int = 1,
-    options: AnalyzeOptions | None = None,
-    tol: Tolerance = DEFAULT_TOLERANCE,
+    refinements: Iterable[RefinementInput] | None = None,
 ) -> AnalysisReport:
     """Run the full exclusion pipeline for an immersed ``sig`` turnover.
 
-    When ``options`` is omitted, the stock refinements from
-    ``known_refinements`` are applied.  The conclusion is
+    The report depends only on the arguments: the pipeline reads no
+    tolerance, and H* is the one constant from ``constant_H``.  When
+    ``refinements`` is None, the stock inputs from ``known_refinements``
+    are applied; pass ``()`` for none.  The conclusion is
     ``NoEmbeddedTurnovers`` exactly when every scanned case of every
     candidate boundary ends Excluded, counting a surviving case as Excluded
     when a refinement for the same boundary and axis order excludes it.
     """
-    if options is None:
-        options = AnalyzeOptions(refinements=known_refinements(sig))
-    ledger = make_ledger(sig, extension_index, tol)
+    if refinements is None:
+        refinements = known_refinements(sig)
+    ledger = make_ledger(sig, extension_index)
     orders = refined_boundary_orders(sig)
     candidates = tuple(boundary_candidates(ledger, orders))
 
     all_cases: list[CaseRecord] = []
     for candidate, _ in candidates:
-        all_cases.extend(
-            miyamoto_case_scan(
-                ledger,
-                candidate,
-                skip_forced_closed=options.skip_forced_closed,
-            )
-        )
+        all_cases.extend(miyamoto_case_scan(ledger, candidate))
 
     refinement_records = []
-    for ref in options.refinements:
+    for ref in refinements:
         length = _refinement_length(ref.kind, ref.value)
         bound, verdict = _refined_verdict(ledger, ref.boundary, length)
         refinement_records.append(

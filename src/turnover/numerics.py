@@ -8,7 +8,8 @@ and failure modes are uniform.  The workhorses are
   usual superlinear convergence, but a bisection step is forced on every
   other iteration so the bracket width provably halves at least once per
   two iterations.  The result is deterministic and carries the plain
-  bisection guarantee.  ``constant_H`` is H*, its root of x = coth x.
+  bisection guarantee.  ``constant_H`` is H*, its root of x = coth x, found
+  once at ``DEFAULT_TOLERANCE``: a derived constant, not a tunable one.
 
 * One Gauss-Legendre quadrature path: ``_leggauss`` is the single node
   source, in pure Python (only ``rooms`` imports numpy), and ``_converge``
@@ -32,8 +33,10 @@ tolerance.
 
 Tolerance is an explicit argument of every adaptive function in the
 package, defaulting to ``DEFAULT_TOLERANCE``; there is no process-wide
-setting.  The CLI resolves ``--tol`` / ``TURNOVER_TOL`` into one
-``Tolerance`` per invocation and passes it down.
+setting.  The verdict chain (``engine``) reads none: its only iterated
+quantity is H*.  The room quadratures do, and ``turnover room-check``
+resolves ``--tol`` / ``TURNOVER_TOL`` into one ``Tolerance`` per invocation
+and passes it down.
 """
 
 from __future__ import annotations
@@ -166,10 +169,12 @@ def find_root(
     )
 
 
-@lru_cache(maxsize=8)
-def constant_H(tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """H*, the positive solution of x = coth x (about 1.199679), cached."""
-    return find_root(lambda x: x - math.cosh(x) / math.sinh(x), Bracket(1.0, 2.0), tol)
+@lru_cache(maxsize=1)
+def constant_H() -> float:
+    """H*, the positive solution of x = coth x (about 1.199679): one root at
+    ``DEFAULT_TOLERANCE``, computed once.  It reads no caller's tolerance, so
+    every volume budget uses the same constant."""
+    return find_root(lambda x: x - math.cosh(x) / math.sinh(x), Bracket(1.0, 2.0))
 
 
 @lru_cache(maxsize=len(_NODE_COUNTS) + 1)

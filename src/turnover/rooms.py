@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -111,11 +111,6 @@ class ProjectiveTriangle:
         if abs(cross) < 1e-14:
             raise DomainError("triangle vertices are collinear")
         object.__setattr__(self, "vertices", vs)
-
-    @cached_property
-    def area(self) -> float:
-        """Hyperbolic area in the projective model (computed by quadrature)."""
-        return _triangle_quadrature(_projective_area, self, DEFAULT_TOLERANCE)
 
 
 FloorRegion = PolarDisk | ProjectiveTriangle
@@ -352,7 +347,7 @@ def isoperimetric_check(
         raise InequalityViolation(
             f"ceiling area {A_C} fell below nice area {A_S}; quadrature bug"
         )
-    ceiling_bound = 0.5 * constant_H(tol) * A_C
+    ceiling_bound = 0.5 * constant_H() * A_C
     if V > ceiling_bound + tol.bound(V):
         raise InequalityViolation(
             f"volume {V} exceeded (H/2) * ceiling area {ceiling_bound}; quadrature bug"

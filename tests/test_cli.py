@@ -13,10 +13,11 @@ import pytest
 import turnover
 from turnover.cli import main
 
-# bounds 2 4 5 with_boundary (H* Area, H* from find_root) at the default
-# tolerance and at --tol 1e-3.
-WITH_BOUNDARY_245_DEFAULT = 0.3768901602902289
-WITH_BOUNDARY_245_LOOSE = 0.37651887070355056
+# room-check --seed 1 --count 2 worst_margin (quadratures and find_root) at
+# the default tolerance and at --tol 1e-3.
+WORST_MARGIN_SEED1_DEFAULT = 1.2463756125535497
+WORST_MARGIN_SEED1_LOOSE = 1.2501923729976667
+ROOM_CHECK = ("room-check", "--seed", "1", "--count", "2")
 
 
 def run(capsys, *argv):
@@ -195,8 +196,8 @@ class TestRegistry:
 
 class TestGlobalFlags:
     def test_tol_flag_accepted(self, capsys):
-        code, out, _ = run(capsys, "area", "2", "4", "5", "--tol", "1e-9")
-        assert code == 0 and "hyperbolic" in out
+        code, out, _ = run(capsys, *ROOM_CHECK, "--tol", "1e-9")
+        assert code == 0 and "violations: 0" in out
 
     def test_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv("TURNOVER_TOL", "1e-9")
@@ -204,21 +205,30 @@ class TestGlobalFlags:
         assert code == 0
 
     def test_tol_flag_reaches_numerics(self, capsys):
-        payload = run_json(capsys, "bounds", "2", "4", "5", "--tol", "1e-3")
-        assert payload["with_boundary"] == WITH_BOUNDARY_245_LOOSE
+        payload = run_json(capsys, *ROOM_CHECK, "--tol", "1e-3")
+        assert payload["worst_margin"] == WORST_MARGIN_SEED1_LOOSE
 
     def test_env_tolerance_reaches_numerics(self, capsys, monkeypatch):
         monkeypatch.setenv("TURNOVER_TOL", "1e-3")
-        payload = run_json(capsys, "bounds", "2", "4", "5")
-        assert payload["with_boundary"] == WITH_BOUNDARY_245_LOOSE
+        payload = run_json(capsys, *ROOM_CHECK)
+        assert payload["worst_margin"] == WORST_MARGIN_SEED1_LOOSE
 
     def test_tolerance_does_not_leak_between_calls(self, capsys):
-        run_json(capsys, "bounds", "2", "4", "5", "--tol", "1e-3")
-        payload = run_json(capsys, "bounds", "2", "4", "5")
-        assert payload["with_boundary"] == WITH_BOUNDARY_245_DEFAULT
+        run_json(capsys, *ROOM_CHECK, "--tol", "1e-3")
+        payload = run_json(capsys, *ROOM_CHECK)
+        assert payload["worst_margin"] == WORST_MARGIN_SEED1_DEFAULT
 
     def test_bad_tol_exits_2(self, capsys):
-        code, _, _ = run(capsys, "area", "2", "4", "5", "--tol", "-1")
+        code, _, err = run(capsys, *ROOM_CHECK, "--tol", "-1")
+        assert code == 2 and "abs_tol" in err
+
+    def test_tolerance_never_reaches_the_verdict(self, capsys, monkeypatch):
+        """A loose tolerance once lowered H* and turned (2,3,7) into a false
+        NoEmbeddedTurnovers; analyze reads no tolerance and rejects --tol."""
+        monkeypatch.setenv("TURNOVER_TOL", "1e-2")
+        payload = run_json(capsys, "analyze", "2", "3", "7")
+        assert payload["conclusion"] == "CandidatesRemain"
+        code, _, _ = run(capsys, "analyze", "2", "3", "7", "--tol", "1e-2")
         assert code == 2
 
     def test_every_command_emits_valid_json(self, capsys):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from turnover.collars import cone_order_universe, refined_boundary_orders
 from turnover.engine import (
-    AnalyzeOptions,
     Conclusion,
     RefinementInput,
     Verdict,
@@ -177,7 +176,7 @@ class TestCaseScan:
 
     def test_245_boundary_survivors(self):
         ledger = make_ledger(sig(2, 4, 5), 1)
-        records = miyamoto_case_scan(ledger, sig(2, 4, 5), skip_forced_closed=True)
+        records = miyamoto_case_scan(ledger, sig(2, 4, 5))
         survivors = {
             (rec.case.k, rec.case.closed)
             for rec in records
@@ -197,12 +196,11 @@ class TestCaseScan:
 
     def test_forced_closed_skipping(self):
         ledger = make_ledger(sig(2, 4, 5), 1)
-        full = miyamoto_case_scan(ledger, sig(3, 3, 4))
-        skipped = miyamoto_case_scan(ledger, sig(3, 3, 4), skip_forced_closed=True)
-        combos = {(rec.case.k, rec.case.closed) for rec in skipped}
+        records = miyamoto_case_scan(ledger, sig(3, 3, 4))
+        combos = {(rec.case.k, rec.case.closed) for rec in records}
         assert (4, False) not in combos
         assert (3, False) in combos  # order 3 occurs twice: open case possible
-        assert len(full) == 6 and len(skipped) == 5
+        assert len(records) == 5
 
     def test_synthetic_infinite_bound_survives_everything(self):
         ledger = dataclasses.replace(
@@ -225,19 +223,14 @@ class TestCaseScan:
             min_size=2,
             max_size=4,
         ),
-        skip=st.booleans(),
     )
-    def test_bounds_are_shared_and_verdicts_follow_each_ledger(
-        self, boundary, immersed, skip
-    ):
+    def test_bounds_are_shared_and_verdicts_follow_each_ledger(self, boundary, immersed):
         """A case bound depends only on the boundary; each verdict compares
         it with the ledger it was scanned against."""
         scans = []
         for orders, ext in immersed:
             ledger = make_ledger(sig(*orders), ext)
-            scans.append(
-                (ledger, miyamoto_case_scan(ledger, sig(*boundary), skip_forced_closed=skip))
-            )
+            scans.append((ledger, miyamoto_case_scan(ledger, sig(*boundary))))
         first = [(rec.case, rec.lower_bound) for rec in scans[0][1]]
         for ledger, records in scans:
             assert [(rec.case, rec.lower_bound) for rec in records] == first
@@ -360,7 +353,7 @@ class TestAnalyze:
         assert refinement_targets == {(4, Verdict.EXCLUDED), (5, Verdict.EXCLUDED)}
 
     def test_245_without_refinements_cannot_conclude(self):
-        report = analyze(sig(2, 4, 5), 1, AnalyzeOptions(refinements=()))
+        report = analyze(sig(2, 4, 5), 1, refinements=())
         assert report.conclusion is Conclusion.CANDIDATES_REMAIN
 
     def test_246_ext2_remains_open(self):
@@ -408,6 +401,24 @@ class TestAnalyze:
                 verdicts.count(Verdict.EXCLUDED),
                 verdicts.count(Verdict.SURVIVES),
             ) == (row["conclusion"], row["excluded"], row["survives"]), row
+
+    @settings(max_examples=25, deadline=None)
+    @given(orders=st.sampled_from(HYPERBOLIC_UP_TO_9))
+    def test_ext2_excludes_at_least_what_ext1_excludes(self, orders):
+        """Halving the budgets can only remove candidates and survivors."""
+
+        def survivors(report):
+            return {
+                (rec.case.boundary_sig, rec.case.k, rec.case.closed)
+                for rec in report.cases
+                if rec.verdict is Verdict.SURVIVES
+            }
+
+        ext1, ext2 = analyze(sig(*orders), 1), analyze(sig(*orders), 2)
+        assert {s for s, _ in ext2.candidates} <= {s for s, _ in ext1.candidates}
+        assert survivors(ext2) <= survivors(ext1)
+        if ext1.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS:
+            assert ext2.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS
 
     def test_refinement_input_validation(self):
         with pytest.raises(DomainError):

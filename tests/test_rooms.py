@@ -72,7 +72,7 @@ class TestFloors:
 
     def test_tiny_triangle_area_is_nearly_euclidean(self):
         tri = ProjectiveTriangle(((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3)))
-        assert tri.area == pytest.approx(0.5e-6, rel=1e-4)
+        assert cusp_prism_check(tri)[1] == pytest.approx(0.5e-6, rel=1e-4)
 
 
 class TestRoomVolume:
@@ -314,10 +314,29 @@ class TestCuspPrism:
         ratio = volume / area
         assert 0.499999 < ratio < 0.5
 
-    def test_floor_area_matches_triangle_area_field(self):
-        tri = equilateral_triangle(0.7)
-        _, area = cusp_prism_check(tri)
-        assert area == pytest.approx(tri.area, rel=1e-10)
+    def test_floor_area_matches_gauss_bonnet(self):
+        """The projective floor area is pi minus the angle sum, with sides from
+        the Klein-model distance and angles from the hyperbolic law of cosines."""
+
+        def cosh_dist(u, v):
+            dot = u[0] * v[0] + u[1] * v[1]
+            return (1.0 - dot) / math.sqrt(
+                (1.0 - u[0] ** 2 - u[1] ** 2) * (1.0 - v[0] ** 2 - v[1] ** 2)
+            )
+
+        for tri in (
+            equilateral_triangle(0.7),
+            ProjectiveTriangle(((0.1, 0.2), (-0.5, 0.3), (0.4, -0.6))),
+        ):
+            a, b, c = tri.vertices
+            ch = (cosh_dist(b, c), cosh_dist(c, a), cosh_dist(a, b))
+            sh = tuple(math.sqrt(x * x - 1.0) for x in ch)
+            angle_sum = sum(
+                math.acos((ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))
+                for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+            )
+            _, area = cusp_prism_check(tri)
+            assert area == pytest.approx(math.pi - angle_sum, rel=1e-12), tri
 
     def test_random_triangles_never_violate(self):
         rng = np.random.default_rng(11)
