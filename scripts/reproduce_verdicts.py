@@ -4,12 +4,14 @@
 Walks the full exclusion pipeline for the immersed (2,4,5) turnover (both
 extension indices), the conjectural (2,4,6) case, the prism case (2,4,7),
 and the volume-cap verdicts against the registry orbifolds.  Output is a
-plain-text report; pass --json for the raw payloads.
+plain-text report; pass --json for the raw payloads.  Each analysis is
+printed by ``turnover analyze`` itself, in the CLI's text format.
 """
 
 import argparse
 import json
 
+from turnover.cli import main as turnover_main
 from turnover.engine import (
     analyze,
     exclusion_by_volume,
@@ -20,24 +22,7 @@ from turnover.trig import TurnoverSignature, turnover_area
 
 
 def show_analysis(sig, ext):
-    result = analyze(sig, ext)
-    print(f"== immersed {sig}, extension index {ext}")
-    ledger = result.ledger
-    print(f"   volume bound (boundary nonempty) {ledger.upper_bound_with_boundary:.6f},"
-          f" (empty) {ledger.upper_bound_no_boundary:.6f}")
-    print(f"   admissible boundary orders {list(result.admissible_orders)}")
-    for candidate, area in result.candidates:
-        print(f"   candidate boundary {candidate} (area {area:.6f})")
-    for rec in result.cases:
-        case = rec.case
-        tag = "closed" if case.closed else "open"
-        print(f"     {case.boundary_sig} k={case.k} {tag:<6}"
-              f" bound {rec.lower_bound:.6f} -> {rec.verdict.value}")
-    for rec in result.refinements:
-        print(f"     refinement {rec.input.label}: bound {rec.lower_bound:.6f}"
-              f" -> {rec.verdict.value}")
-    print(f"   conclusion: {result.conclusion.value}")
-    return result
+    turnover_main(["analyze", *map(str, sig.orders), "--ext", str(ext)])
 
 
 def registry_volume(name):
@@ -93,7 +78,8 @@ def main():
     show_volume_verdicts()
     print()
     show_registry_consistency()
-    # The ext=2 ledger seen above is the bound the Q3 example sits under.
+    # The empty-boundary cap of the ext=2 (2,4,5) ledger is the bound the Q3
+    # example sits under.
     ledger = make_ledger(TurnoverSignature(2, 4, 5), 2)
     assert ledger.upper_bound_no_boundary > registry_volume("Q3")
 

@@ -215,9 +215,12 @@ def _cmd_room_check(args):
     from . import rooms  # imported here: rooms loads numpy, which no other command needs
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
-    tol = args.tol
-    if tol is None and os.environ.get("TURNOVER_TOL"):
-        tol = float(os.environ["TURNOVER_TOL"])
+    tol, env_tol = args.tol, os.environ.get("TURNOVER_TOL")
+    if tol is None and env_tol:
+        try:
+            tol = float(env_tol)
+        except ValueError:
+            raise DomainError(f"TURNOVER_TOL must be a number, got {env_tol!r}") from None
     tol = DEFAULT_TOLERANCE if tol is None else Tolerance(abs_tol=tol, rel_tol=tol)
     if args.constant is not None:
         floor = rooms.PolarDisk(1.0)

@@ -16,14 +16,16 @@ the budgets halve, tracked by ``extension_index`` in {1, 2}.  The pipeline:
    decreases area, so equality is excluded).
 3. ``miyamoto_case_scan``  -- for each candidate boundary, enumerate the
    return-path cases (k, closed), less the open ones that must close; each
-   yields a volume lower bound rho3(l/2) * Area(boundary), and a case is
-   Excluded when that bound exceeds the ledger's upper bound.
+   yields the volume lower bound rho3 * Area(boundary), with rho3 taken at
+   the exact theta the record reports (``TruncatedSimplexSpec.from_angle``),
+   and is Excluded when that bound exceeds the ledger's upper bound.
 4. ``order4_refinement`` / ``order5_refinement`` -- sharper per-case bounds
    from configuration-specific inputs (an exactly known embedded disk
    radius, or a perpendicular separation whose doubling bounds a closed
    path).  The inputs are supplied by the caller since their derivations do
    not generalize; ``known_refinements`` returns the stock inputs for the
    immersed (2,4,5) analysis, where they come straight from triangle sides.
+   Both and ``analyze`` score a ``RefinementInput`` through one function.
 5. ``exclusion_by_volume`` -- an orbifold of known volume cannot contain an
    immersed turnover whose budget it exceeds.
 6. ``analyze``         -- the whole chain, producing an ``AnalysisReport``.
@@ -50,12 +52,7 @@ from typing import Iterable
 from .collars import ConeOrderSet, refined_boundary_orders
 from .errors import DomainError
 from .numerics import constant_H
-from .simplices import (
-    ReturnPathCase,
-    angle_from_edge,
-    length_from_disk_radius,
-    miyamoto_lower_bound,
-)
+from .simplices import ReturnPathCase, TruncatedSimplexSpec, length_from_disk_radius
 from .trig import (
     GeometryClass,
     TurnoverSignature,
@@ -87,8 +84,8 @@ __all__ = [
     "registry_json",
 ]
 
-# Minimal area of one boundary piece: twice the (2,3,7) mirrored triangle.
-MIN_BOUNDARY_PIECE_DEFECT = Fraction(1, 42)  # area = 2*pi*defect = pi/21
+# Minimal boundary piece: twice the (2,3,7) mirrored triangle, area pi/21.
+MIN_BOUNDARY_PIECE_DEFECT = -TurnoverSignature(2, 3, 7).chi_fraction()
 
 
 class Verdict(enum.Enum):
@@ -128,8 +125,7 @@ def make_ledger(sig: TurnoverSignature, extension_index: int = 1) -> BoundLedger
         raise DomainError(f"extension index must be 1 or 2, got {extension_index}")
     area = turnover_area(sig)
     no_boundary = area / extension_index
-    defect = -sig.chi_fraction()
-    pieces = (2 * defect / extension_index) / MIN_BOUNDARY_PIECE_DEFECT
+    pieces = _budget_defect(sig, extension_index) / MIN_BOUNDARY_PIECE_DEFECT
     return BoundLedger(
         sig=sig,
         extension_index=extension_index,
@@ -141,9 +137,9 @@ def make_ledger(sig: TurnoverSignature, extension_index: int = 1) -> BoundLedger
     )
 
 
-def _budget_defect(ledger: BoundLedger) -> Fraction:
+def _budget_defect(sig: TurnoverSignature, extension_index: int) -> Fraction:
     """The two-sided budget as an exact multiple of 2*pi."""
-    return 2 * -ledger.sig.chi_fraction() / ledger.extension_index
+    return 2 * -sig.chi_fraction() / extension_index
 
 
 def boundary_candidates(
@@ -156,7 +152,7 @@ def boundary_candidates(
     signatures that exactly exhaust the budget are excluded, never admitted
     by a rounding accident.  Sorted by ascending area, ties by signature.
     """
-    budget = _budget_defect(ledger)
+    budget = _budget_defect(ledger.sig, ledger.extension_index)
     found = []
     for triple in combinations_with_replacement(sorted(set(orders)), 3):
         sig = TurnoverSignature(*triple)
@@ -217,27 +213,11 @@ def miyamoto_case_scan(
             if not closed and _forced_closed(boundary, k):
                 continue
             case = ReturnPathCase.build(boundary, k, closed)
-            bound = miyamoto_lower_bound(area, case.min_length)
+            bound = TruncatedSimplexSpec.from_angle(case.theta).rho3 * area
             records.append(
                 CaseRecord(case=case, lower_bound=bound, verdict=_verdict(ledger, bound))
             )
     return records
-
-
-def _refinement_length(kind: str, value: float) -> float:
-    """Return-path length forced by a "disk" radius or a "separation"."""
-    if kind == "disk":
-        return length_from_disk_radius(value)
-    if not (value > 0.0):
-        raise DomainError(f"separation must be positive, got {value}")
-    return 2.0 * value
-
-
-def _refined_verdict(
-    ledger: BoundLedger, boundary: TurnoverSignature, length: float
-) -> tuple[float, Verdict]:
-    bound = miyamoto_lower_bound(turnover_area(boundary), length)
-    return bound, _verdict(ledger, bound)
 
 
 def order4_refinement(
@@ -250,8 +230,8 @@ def order4_refinement(
     Two disjoint radius-``disk_radius`` disks force the return path length
     up through the hexagon law, then the usual density bound applies.
     """
-    length = _refinement_length("disk", disk_radius)
-    return _refined_verdict(ledger, boundary, length)
+    record = _refine(ledger, RefinementInput(boundary, 4, "disk", disk_radius))
+    return record.lower_bound, record.verdict
 
 
 def order5_refinement(
@@ -261,8 +241,8 @@ def order5_refinement(
 ) -> tuple[float, Verdict]:
     """Bound from a perpendicular separation: a closed path connecting two
     cone points through it is at least twice the separation."""
-    length = _refinement_length("separation", separation)
-    return _refined_verdict(ledger, boundary, length)
+    record = _refine(ledger, RefinementInput(boundary, 5, "separation", separation))
+    return record.lower_bound, record.verdict
 
 
 def exclusion_by_volume(
@@ -326,6 +306,16 @@ class RefinementRecord:
             "lower_bound": self.lower_bound,
             "verdict": self.verdict.value,
         }
+
+
+def _refine(ledger: BoundLedger, ref: RefinementInput) -> RefinementRecord:
+    """Score one refinement: the return-path length its input forces (the
+    hexagon law for a disk radius, twice a separation) is the edge of the
+    T_theta whose density bounds the volume."""
+    length = length_from_disk_radius(ref.value) if ref.kind == "disk" else 2.0 * ref.value
+    spec = TruncatedSimplexSpec.from_edge(length)
+    bound = spec.rho3 * turnover_area(ref.boundary)
+    return RefinementRecord(ref, spec.theta, bound, _verdict(ledger, bound))
 
 
 def known_refinements(sig: TurnoverSignature) -> tuple[RefinementInput, ...]:
@@ -421,18 +411,7 @@ def analyze(
     for candidate, _ in candidates:
         all_cases.extend(miyamoto_case_scan(ledger, candidate))
 
-    refinement_records = []
-    for ref in refinements:
-        length = _refinement_length(ref.kind, ref.value)
-        bound, verdict = _refined_verdict(ledger, ref.boundary, length)
-        refinement_records.append(
-            RefinementRecord(
-                input=ref,
-                theta=angle_from_edge(length),
-                lower_bound=bound,
-                verdict=verdict,
-            )
-        )
+    refinement_records = [_refine(ledger, ref) for ref in refinements]
 
     excluded_by_refinement = {
         (rec.input.boundary, rec.input.k)

@@ -114,6 +114,7 @@ class ProjectiveTriangle:
 
 
 FloorRegion = PolarDisk | ProjectiveTriangle
+_FD_STEP = 1e-6  # finite-difference step when a ceiling has no gradient
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,12 @@ class CeilingFunction:
     """Nonnegative height function g(r, theta) over a floor.
 
     ``height`` must be vectorized (accept numpy arrays and broadcast).  If
-    ``gradient`` is omitted, central finite differences with step
-    ``fd_step`` are used, one-sided at the r = 0 edge.
+    ``gradient`` is omitted, central finite differences with the fixed step
+    ``_FD_STEP`` (1e-6) are used, one-sided at the r = 0 edge.
     """
 
     height: Callable
     gradient: Callable | None = None
-    fd_step: float = 1e-6
 
     @staticmethod
     def constant(h: float) -> "CeilingFunction":
@@ -155,7 +155,7 @@ class CeilingFunction:
                 np.broadcast_to(np.asarray(gr, dtype=float), shape),
                 np.broadcast_to(np.asarray(gt, dtype=float), shape),
             )
-        h = self.fd_step
+        h = _FD_STEP
         r = np.asarray(r, dtype=float)
         r_lo = np.maximum(r - h, 0.0)
         g_r = (self.heights(r + h, theta) - self.heights(r_lo, theta)) / (r + h - r_lo)

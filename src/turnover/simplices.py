@@ -25,7 +25,10 @@ is read.  The density
 
 converts a lower bound l on return-path length (geodesic arcs meeting the
 totally geodesic boundary perpendicularly at both ends) into a volume lower
-bound rho3(l/2) * Area(boundary).
+bound rho3(l/2) * Area(boundary).  ``TruncatedSimplexSpec`` is the only
+place the density is computed: ``rho3`` reads it through ``from_edge``, and
+the engine bounds each return-path case through ``from_angle`` at the exact
+theta the case reports.
 
 The return-path length bound comes from a circle-packing estimate on the
 boundary: a shortest return path along a singular axis of maximal order k,
@@ -82,11 +85,19 @@ def edge_from_angle(theta: float) -> float:
     return math.acosh(max(c / (2.0 * c - 1.0), 1.0))
 
 
+def _cosh(x: float) -> float:
+    """math.cosh, whose overflow (it raises, never returns inf) is a DomainError."""
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        raise DomainError(f"cosh({x}) overflows: argument too large") from None
+
+
 def angle_from_edge(length: float) -> float:
     """Inverse of ``edge_from_angle``: arccos(cosh l / (2 cosh l - 1))."""
     if not (length > 0.0):
         raise DomainError(f"edge length must be positive, got {length}")
-    ch = math.cosh(length)
+    ch = _cosh(length)
     return math.acos(min(ch / (2.0 * ch - 1.0), 1.0))
 
 
@@ -118,24 +129,17 @@ def truncated_simplex_volume(theta: float) -> float:
     return _octahedron_volume() - 3.0 * acosh_integral
 
 
-def _density(volume: float, theta: float) -> float:
-    """Volume over truncation area: Vol(T_theta) / (4 (pi - 3 theta))."""
-    return volume / (4.0 * (math.pi - 3.0 * theta))
-
-
 def rho3(r: float) -> float:
     """Volume-to-truncation-area density of the T_theta with half-edge r."""
     if not (r > 0.0):
         raise DomainError(f"half edge length must be positive, got {r}")
-    theta = angle_from_edge(2.0 * r)
-    if theta >= THETA_MAX:
-        raise DomainError(f"half edge {r} puts the angle at or beyond pi/3")
-    return _density(truncated_simplex_volume(theta), theta)
+    return TruncatedSimplexSpec.from_edge(2.0 * r).rho3
 
 
 @dataclass(frozen=True)
 class TruncatedSimplexSpec:
-    """A T_theta with its derived scalars bundled together."""
+    """A T_theta with its derived scalars; ``from_angle`` is the one place
+    the density is computed."""
 
     theta: float
     edge_length: float
@@ -151,7 +155,7 @@ class TruncatedSimplexSpec:
             theta=theta,
             edge_length=edge,
             volume=volume,
-            rho3=_density(volume, theta),
+            rho3=volume / (4.0 * (math.pi - 3.0 * theta)),
         )
 
     @classmethod
@@ -229,9 +233,7 @@ def length_from_disk_radius(disk_r: float) -> float:
     """
     if not (disk_r > 0.0):
         raise DomainError(f"disk radius must be positive, got {disk_r}")
-    ch = math.cosh(2.0 * disk_r)
-    if math.isinf(ch):
-        raise DomainError(f"disk radius {disk_r} too large for float evaluation")
+    ch = _cosh(2.0 * disk_r)
     if ch <= 1.0:
         raise DomainError(f"disk radius {disk_r} too small to resolve")
     return math.acosh(ch / (ch - 1.0))

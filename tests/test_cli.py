@@ -160,6 +160,11 @@ class TestRho3:
         code, _, _ = run(capsys, "rho3", "--theta", "1.1")
         assert code == 2
 
+    def test_overflowing_edge_exits_2(self, capsys):
+        """cosh(1000) overflows a float: a usage error, not a traceback."""
+        code, _, err = run(capsys, "rho3", "--edge", "1000")
+        assert code == 2 and "overflows" in err
+
     def test_requires_exactly_one_input(self, capsys):
         assert run(capsys, "rho3")[0] == 2
         assert run(capsys, "rho3", "--theta", "0.1", "--edge", "1.0")[0] == 2
@@ -200,9 +205,10 @@ class TestGlobalFlags:
         assert code == 0 and "violations: 0" in out
 
     def test_env_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("TURNOVER_TOL", "1e-9")
-        code, _, _ = run(capsys, "rho3", "--theta", "0.5")
-        assert code == 0
+        """A TURNOVER_TOL that is not a number is a usage error naming it."""
+        monkeypatch.setenv("TURNOVER_TOL", "abc")
+        code, _, err = run(capsys, "room-check", "--count", "1")
+        assert code == 2 and "TURNOVER_TOL" in err and "abc" in err
 
     def test_tol_flag_reaches_numerics(self, capsys):
         payload = run_json(capsys, *ROOM_CHECK, "--tol", "1e-3")

@@ -35,6 +35,7 @@ from turnover.engine import (
 )
 from turnover.errors import DomainError
 from turnover.rooms import constant_H
+from turnover.simplices import TruncatedSimplexSpec
 from turnover.trig import TurnoverSignature, turnover_area
 
 # mpmath, 40 digits
@@ -419,6 +420,22 @@ class TestAnalyze:
         assert survivors(ext2) <= survivors(ext1)
         if ext1.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS:
             assert ext2.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS
+
+    @pytest.mark.parametrize(
+        "orders, ext", [((2, 4, 5), 1), ((2, 4, 6), 2), ((2, 4, 7), 2), ((7, 7, 7), 1)]
+    )
+    def test_every_bound_is_the_density_at_its_theta(self, orders, ext):
+        """A payload's bound is the bound at the payload's theta, bit for bit,
+        for every case and refinement record."""
+        report = analyze(sig(*orders), ext)
+        records = [(rec.case.boundary_sig, rec.case.theta, rec.lower_bound)
+                   for rec in report.cases]
+        records += [(rec.input.boundary, rec.theta, rec.lower_bound)
+                    for rec in report.refinements]
+        assert records
+        for boundary, theta, bound in records:
+            expected = TruncatedSimplexSpec.from_angle(theta).rho3 * turnover_area(boundary)
+            assert bound == expected, (boundary, theta)
 
     def test_refinement_input_validation(self):
         with pytest.raises(DomainError):

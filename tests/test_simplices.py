@@ -254,3 +254,8 @@ class TestLengthFromDiskRadius:
     def test_unresolvable_radius(self):
         with pytest.raises(DomainError):
             length_from_disk_radius(1e-12)
+
+    def test_overflowing_radius(self):
+        """cosh(800) overflows; math.cosh raises rather than returning inf."""
+        with pytest.raises(DomainError):
+            length_from_disk_radius(400.0)
