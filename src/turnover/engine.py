@@ -42,7 +42,6 @@ through the minimal boundary area pi/21.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -382,9 +381,6 @@ class AnalysisReport:
             "conclusion": self.conclusion.value,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def analyze(
     sig: TurnoverSignature,
@@ -480,10 +476,6 @@ class RegistryEntry:
         }
 
 
-def _sig(p: int, q: int, r: int) -> TurnoverSignature:
-    return TurnoverSignature(p, q, r)
-
-
 _REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry(
         name="Q3",
@@ -492,7 +484,7 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
         prism_orders=None,
         volume=0.071770,
         volume_cited=True,
-        known_immersed=(_sig(2, 4, 5),),
+        known_immersed=(TurnoverSignature(2, 4, 5),),
         extension_index=2,
         has_embedded=False,
     ),
@@ -503,7 +495,7 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
         prism_orders=None,
         volume=0.211446,
         volume_cited=True,
-        known_immersed=(_sig(2, 4, 6),),
+        known_immersed=(TurnoverSignature(2, 4, 6),),
         extension_index=2,
         has_embedded=False,
     ),
@@ -514,7 +506,7 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
         prism_orders=None,
         volume=0.717306,
         volume_cited=True,
-        known_immersed=(_sig(3, 4, 5), _sig(4, 5, 5)),
+        known_immersed=(TurnoverSignature(3, 4, 5), TurnoverSignature(4, 5, 5)),
         extension_index=1,
         has_embedded=False,
     ),
@@ -525,7 +517,7 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
         prism_orders=None,
         volume=1.004261,
         volume_cited=True,
-        known_immersed=(_sig(3, 5, 5), _sig(5, 5, 5)),
+        known_immersed=(TurnoverSignature(3, 5, 5), TurnoverSignature(5, 5, 5)),
         extension_index=1,
         has_embedded=False,
     ),
@@ -536,8 +528,8 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
         prism_orders=(2, 4, 7),
         volume=0.325947,
         volume_cited=True,
-        known_immersed=(_sig(2, 4, 7),),
-        known_embedded=(_sig(2, 3, 7),),
+        known_immersed=(TurnoverSignature(2, 4, 7),),
+        known_embedded=(TurnoverSignature(2, 3, 7),),
         extension_index=2,
         has_embedded=True,
     ),

@@ -31,12 +31,14 @@ singularities are at +-pi), so the fixed rule reaches an absolute error of
 a few 1e-16 against ``mpmath.clsin(2, 2 theta) / 2``.  It reads no
 tolerance.
 
-Tolerance is an explicit argument of every adaptive function in the
-package, defaulting to ``DEFAULT_TOLERANCE``; there is no process-wide
-setting.  The verdict chain (``engine``) reads none: its only iterated
-quantity is H*.  The room quadratures do, and ``turnover room-check``
-resolves ``--tol`` / ``TURNOVER_TOL`` into one ``Tolerance`` per invocation
-and passes it down.
+A ``Tolerance`` is two numbers, ``(abs_tol, rel_tol)``; the step budgets
+are fixed (``_ROOT_STEPS`` for ``find_root``, the nine orders of
+``_NODE_COUNTS`` for the quadratures).  It is an explicit argument of every
+adaptive function in the package, defaulting to ``DEFAULT_TOLERANCE``;
+there is no process-wide setting.  The verdict chain (``engine``) reads
+none: its only iterated quantity is H*.  The room quadratures do, and
+``turnover room-check`` resolves ``--tol`` / ``TURNOVER_TOL`` into one
+``Tolerance`` per invocation and passes it down.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ __all__ = [
 # Gauss-Legendre orders tried, in turn, by every adaptive rule.
 _NODE_COUNTS = (16, 24, 32, 48, 64, 96, 128, 192, 256)
 
+# Step budget of ``find_root``; every second step bisects the bracket.
+_ROOT_STEPS = 200
+
 # Order of the fixed Gauss-Legendre rule behind the closed-form kernels.
 # 20 nodes pin L to a few 1e-16 absolute and Vol(T_theta) to below 1e-14
 # relative; 16 nodes leave the volume near pi/3 at about 1e-13.
@@ -69,27 +74,22 @@ _FIXED_NODES = 20
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair plus an iteration budget.
+    """Absolute/relative tolerance pair.
 
     The effective tolerance for a quantity of magnitude ``x`` is
-    ``abs_tol + rel_tol * |x|``.
-
-    ``max_iter`` caps the iterations of ``find_root`` and the number of
-    Gauss-Legendre orders (of the nine in ``_NODE_COUNTS``) that ``integrate``
-    and the room quadratures try; with 1 no quadrature can converge.
+    ``abs_tol + rel_tol * |x|``.  The step budgets are fixed: ``find_root``
+    takes at most ``_ROOT_STEPS`` steps, and the quadratures try each order
+    in ``_NODE_COUNTS``.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise DomainError("abs_tol must be a positive finite real")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
             raise DomainError("rel_tol must be a nonnegative finite real")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise DomainError("max_iter must be an integer >= 1")
 
     def bound(self, magnitude: float) -> float:
         """Effective tolerance for a quantity of the given magnitude."""
@@ -136,7 +136,7 @@ def find_root(
     guarantee: it lies within ``tol.bound(root)`` of a sign change.
 
     Raises ``BracketError`` when there is no sign change and
-    ``ConvergenceError`` when ``tol.max_iter`` iterations do not suffice.
+    ``ConvergenceError`` when ``_ROOT_STEPS`` steps do not suffice.
     """
     a, b = bracket.lo, bracket.hi
     fa, fb = f(a), f(b)
@@ -147,7 +147,7 @@ def find_root(
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
 
-    for iteration in range(tol.max_iter):
+    for iteration in range(_ROOT_STEPS):
         mid = 0.5 * (a + b)
         if 0.5 * (b - a) <= tol.bound(mid):
             return mid
@@ -164,7 +164,7 @@ def find_root(
         else:
             b, fb = x, fx
     raise ConvergenceError(
-        f"root of {_name(f)} not bracketed to tolerance within {tol.max_iter} "
+        f"root of {_name(f)} not bracketed to tolerance within {_ROOT_STEPS} "
         f"iterations: final bracket [{a}, {b}], width {b - a:.3g}"
     )
 
@@ -198,19 +198,18 @@ def _leggauss(n: int) -> tuple[tuple[float, float], ...]:
 
 
 def _converge(estimate: Callable[[int], float], tol: Tolerance, what: str) -> float:
-    """Run ``estimate(n)`` over the first ``tol.max_iter`` of ``_NODE_COUNTS``
-    until two consecutive estimates agree to ``tol``; return the later one.
-    ``what`` names the integrand and its domain in the ``ConvergenceError``."""
-    orders = _NODE_COUNTS[: tol.max_iter]
+    """Run ``estimate(n)`` over ``_NODE_COUNTS`` until two consecutive
+    estimates agree to ``tol``; return the later one.  ``what`` names the
+    integrand and its domain in the ``ConvergenceError``."""
     previous = residual = math.nan
-    for n in orders:
+    for n in _NODE_COUNTS:
         total = estimate(n)
         residual = abs(total - previous)
         if residual <= tol.bound(total):
             return total
         previous = total
-    raise ConvergenceError(f"{what} did not converge in {len(orders)} orders (up to "
-                           f"{orders[-1]} nodes): residual {residual:.3g}")
+    raise ConvergenceError(f"{what} did not converge in {len(_NODE_COUNTS)} orders "
+                           f"(up to {_NODE_COUNTS[-1]} nodes): residual {residual:.3g}")
 
 
 @lru_cache(maxsize=len(_NODE_COUNTS))

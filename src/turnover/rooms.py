@@ -33,8 +33,10 @@ and volume < floor_area / 2 pointwise.
 2-D quadrature is a tensor-product rule, Gauss-Legendre in the
 radial/affine directions and a periodic midpoint rule in theta, run by
 ``numerics._converge`` on arrays of ``numerics._leggauss`` nodes; no other
-module imports numpy.  Ceiling evaluators must accept numpy arrays (all
-built-in ceilings do).  Monte Carlo is only a test oracle, never used here.
+module imports numpy.  A ceiling supplies its height and its exact
+gradient, both evaluated on numpy arrays of (r, theta) nodes; there is no
+finite-difference fallback.  Monte Carlo is only a test oracle, never used
+here.
 """
 
 from __future__ import annotations
@@ -114,33 +116,27 @@ class ProjectiveTriangle:
 
 
 FloorRegion = PolarDisk | ProjectiveTriangle
-_FD_STEP = 1e-6  # finite-difference step when a ceiling has no gradient
 
 
 @dataclass(frozen=True)
 class CeilingFunction:
-    """Nonnegative height function g(r, theta) over a floor.
+    """Nonnegative height function g(r, theta) over a floor, with its gradient.
 
-    ``height`` must be vectorized (accept numpy arrays and broadcast).  If
-    ``gradient`` is omitted, central finite differences with the fixed step
-    ``_FD_STEP`` (1e-6) are used, one-sided at the r = 0 edge.
+    ``height(r, theta)`` returns g and ``gradient(r, theta)`` returns the
+    pair (g_r, g_theta).  Both must accept numpy arrays; they may return
+    scalars or arrays of any broadcastable shape, because ``heights`` and
+    ``gradients`` broadcast what they return to the shape of (r, theta).
     """
 
     height: Callable
-    gradient: Callable | None = None
+    gradient: Callable
 
     @staticmethod
     def constant(h: float) -> "CeilingFunction":
         if not (math.isfinite(h) and h >= 0.0):
             raise DomainError(f"constant ceiling height must be >= 0, got {h}")
-
-        def zero_pair(r, theta):
-            shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
-            z = np.zeros(shape)
-            return z, z
-
-        return CeilingFunction(height=lambda r, theta: h + 0.0 * (r + theta),
-                               gradient=zero_pair)
+        return CeilingFunction(height=lambda r, theta: h,
+                               gradient=lambda r, theta: (0.0, 0.0))
 
     def heights(self, r, theta) -> np.ndarray:
         out = np.asarray(self.height(r, theta), dtype=float)
@@ -149,26 +145,17 @@ class CeilingFunction:
 
     def gradients(self, r, theta) -> tuple[np.ndarray, np.ndarray]:
         shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
-        if self.gradient is not None:
-            gr, gt = self.gradient(r, theta)
-            return (
-                np.broadcast_to(np.asarray(gr, dtype=float), shape),
-                np.broadcast_to(np.asarray(gt, dtype=float), shape),
-            )
-        h = _FD_STEP
-        r = np.asarray(r, dtype=float)
-        r_lo = np.maximum(r - h, 0.0)
-        g_r = (self.heights(r + h, theta) - self.heights(r_lo, theta)) / (r + h - r_lo)
-        g_t = (self.heights(r, theta + h) - self.heights(r, theta - h)) / (2.0 * h)
-        return np.broadcast_to(g_r, shape), np.broadcast_to(g_t, shape)
+        gr, gt = self.gradient(r, theta)
+        return (
+            np.broadcast_to(np.asarray(gr, dtype=float), shape),
+            np.broadcast_to(np.asarray(gt, dtype=float), shape),
+        )
 
 
 @dataclass(frozen=True)
 class RoomSpec:
     """Computed summary of one room: volume, areas, and the nice comparison."""
 
-    floor: FloorRegion
-    ceiling: CeilingFunction
     volume: float
     ceiling_area: float
     equivalent_height: float
@@ -353,8 +340,6 @@ def isoperimetric_check(
             f"volume {V} exceeded (H/2) * ceiling area {ceiling_bound}; quadrature bug"
         )
     return RoomSpec(
-        floor=disk,
-        ceiling=ceiling,
         volume=V,
         ceiling_area=A_C,
         equivalent_height=H_eq,
@@ -407,16 +392,14 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
     modes = [(float(a), int(f), float(ph)) for a, f, ph in zip(amps, freqs, phases)]
 
     def height(r, theta):
-        total = base + 0.0 * (r + theta)
+        total = base
         for a, f, ph in modes:
             total = total + a * np.tanh(r) ** f * np.cos(f * theta + ph)
         return total
 
-    # Closed-form gradient: finite differences at step 1e-6 leave noise above
-    # the default 1e-12 tolerance, so the disk quadrature would not settle.
     def gradient(r, theta):
         t = np.tanh(r)
-        g_r = g_t = 0.0 * (r + theta)
+        g_r = g_t = 0.0
         for a, f, ph in modes:
             angle = f * theta + ph
             g_r = g_r + a * f * t ** (f - 1) * (1.0 - t * t) * np.cos(angle)

@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .numerics import _fixed_rule, lobachevsky
-from .trig import TurnoverSignature, require_hyperbolic
+from .trig import TurnoverSignature, hexagon_side, require_hyperbolic
 
 __all__ = [
     "THETA_MAX",
@@ -94,11 +94,12 @@ def _cosh(x: float) -> float:
 
 
 def angle_from_edge(length: float) -> float:
-    """Inverse of ``edge_from_angle``: arccos(cosh l / (2 cosh l - 1))."""
+    """Inverse of ``edge_from_angle``: arccos(cosh l / (2 cosh l - 1)),
+    with the ratio halved through so that 2 cosh l cannot overflow."""
     if not (length > 0.0):
         raise DomainError(f"edge length must be positive, got {length}")
     ch = _cosh(length)
-    return math.acos(min(ch / (2.0 * ch - 1.0), 1.0))
+    return math.acos(min(0.5 * ch / (ch - 0.5), 1.0))
 
 
 def _log_chord(t: float) -> float:
@@ -229,11 +230,9 @@ def length_from_disk_radius(disk_r: float) -> float:
     """Shortest return path forced by an embedded boundary disk of radius r.
 
     Two disjoint disks of radius r on the boundary push the hexagon bound to
-    cosh l >= cosh 2r / (cosh 2r - 1); this returns the equality value.
+    cosh l >= cosh 2r / (cosh 2r - 1); this returns the equality value,
+    ``hexagon_side(2r, 2r)``.
     """
     if not (disk_r > 0.0):
         raise DomainError(f"disk radius must be positive, got {disk_r}")
-    ch = _cosh(2.0 * disk_r)
-    if ch <= 1.0:
-        raise DomainError(f"disk radius {disk_r} too small to resolve")
-    return math.acosh(ch / (ch - 1.0))
+    return hexagon_side(2.0 * disk_r, 2.0 * disk_r)

@@ -192,10 +192,17 @@ def hexagon_side(l: float, l_prime: float) -> float:
     """All-right hexagon law: side d opposite alternating sides l, l', l.
 
     cosh d = (cosh^2 l + cosh l') / sinh^2 l, which is at least
-    cosh l / (cosh l - 1), with equality exactly at l' = l.
+    cosh l / (cosh l - 1), with equality exactly at l' = l.  Evaluated as
+    sinh(d/2) = cosh(l'/2) / sinh l, the same law without the cancellation
+    in cosh d - 1.  Sides for which a term leaves float range raise
+    ``DomainError``.
     """
     if not (l > 0.0 and l_prime > 0.0):
         raise DomainError("hexagon sides must be positive")
-    ch = math.cosh(l)
-    value = (ch * ch + math.cosh(l_prime)) / (math.sinh(l) ** 2)
-    return math.acosh(max(value, 1.0))
+    try:
+        d = 2.0 * math.asinh(math.cosh(0.5 * l_prime) / math.sinh(l))
+        if math.isfinite(d):
+            return d
+    except OverflowError:
+        pass
+    raise DomainError(f"hexagon side opposite ({l}, {l_prime}) is outside float range")

@@ -38,7 +38,6 @@ class TestTolerance:
         tol = Tolerance()
         assert tol.abs_tol == 1e-12
         assert tol.rel_tol == 1e-12
-        assert tol.max_iter == 200
 
     def test_bound_combines_abs_and_rel(self):
         tol = Tolerance(abs_tol=1e-10, rel_tol=1e-3)
@@ -50,7 +49,7 @@ class TestTolerance:
             {"abs_tol": 0.0},
             {"abs_tol": -1e-9},
             {"rel_tol": -1.0},
-            {"max_iter": 0},
+            {"rel_tol": math.inf},
             {"abs_tol": math.inf},
         ],
     )
@@ -89,10 +88,16 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, Bracket(-1.0, 1.0))
 
-    def test_max_iter_exhaustion(self):
-        tight = Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3)
-        with pytest.raises(ConvergenceError, match=r"<lambda>.*final bracket \[.+, .+\], width"):
-            find_root(lambda x: math.tanh(10 * (x - 0.1234567)), Bracket(0.0, 1.0), tight)
+    def test_step_budget_exhaustion(self):
+        # x*x - 2 has no float zero, so a tolerance below float resolution
+        # runs the fixed budget out with the bracket at adjacent floats.
+        below_resolution = Tolerance(abs_tol=1e-300, rel_tol=0.0)
+        with pytest.raises(
+            ConvergenceError,
+            match=r"<lambda>.*within 200 .*final bracket "
+                  r"\[1\.414213562373095, 1\.4142135623730951\], width",
+        ):
+            find_root(lambda x: x * x - 2.0, Bracket(1.0, 2.0), below_resolution)
 
     @given(root=st.floats(min_value=-5.0, max_value=5.0), scale=st.floats(min_value=0.1, max_value=4.0))
     def test_bracket_swap_invariance(self, root, scale):
@@ -142,12 +147,12 @@ class TestIntegrate:
         assert value == pytest.approx(LOBACHEVSKY_PI_4, abs=1e-10)
 
     def test_nonconvergence_budget(self):
-        nasty = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=2)
+        nasty = Tolerance(abs_tol=1e-300, rel_tol=0.0)
         with pytest.raises(ConvergenceError):
             integrate(lambda x: math.sin(50.0 * x), 0.0, 3.0, nasty)
 
     def test_nonconvergence_names_integrand_domain_and_residual(self):
-        nasty = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=2)
+        nasty = Tolerance(abs_tol=1e-300, rel_tol=0.0)
         with pytest.raises(ConvergenceError, match=r"<lambda> on \[0\.0, 3\.0\].*residual"):
             integrate(lambda x: math.sin(50.0 * x), 0.0, 3.0, nasty)
 

@@ -47,6 +47,15 @@ def equilateral_triangle(circumradius: float) -> ProjectiveTriangle:
     return ProjectiveTriangle(pts)
 
 
+def tanh_mode_ceiling(c, a, f, df):
+    """g = c + a f(theta) tanh r with its exact gradient
+    (a f(theta) / cosh^2 r, a f'(theta) tanh r)."""
+    return CeilingFunction(
+        height=lambda r, t: c + a * f(t) * np.tanh(r),
+        gradient=lambda r, t: (a * f(t) / np.cosh(r) ** 2, a * df(t) * np.tanh(r)),
+    )
+
+
 class TestFloors:
     def test_disk_area(self):
         assert PolarDisk(1.0).area == pytest.approx(
@@ -87,7 +96,7 @@ class TestRoomVolume:
         assert value == pytest.approx(expected, rel=1e-11)
 
     def test_cone_ceiling_reference(self):
-        cone = CeilingFunction(height=lambda r, t: r + 0.0 * t)
+        cone = CeilingFunction(height=lambda r, t: r, gradient=lambda r, t: (1.0, 0.0))
         assert room_volume(PolarDisk(1.0), cone) == pytest.approx(
             VOLUME_CONE_DISK1, rel=1e-11
         )
@@ -103,14 +112,15 @@ class TestRoomVolume:
         kernel = 0.25 * (np.sinh(2.0 * r) + 2.0 * r)
         estimate = PolarDisk(radius).area * float(kernel.mean())
         sigma = PolarDisk(radius).area * float(kernel.std()) / math.sqrt(n)
-        value = room_volume(PolarDisk(radius), CeilingFunction(lambda r, t: r + 0.0 * t))
+        cone = CeilingFunction(lambda r, t: r, lambda r, t: (1.0, 0.0))
+        value = room_volume(PolarDisk(radius), cone)
         assert abs(value - estimate) < 5.0 * sigma
         assert value == pytest.approx(estimate, rel=1e-3)  # 3 significant digits
 
     def test_monotone_in_ceiling(self):
         disk = PolarDisk(1.0)
-        lower = CeilingFunction(lambda r, t: 0.4 + 0.2 * np.tanh(r) * np.cos(t))
-        upper = CeilingFunction(lambda r, t: 0.9 + 0.2 * np.tanh(r) * np.cos(t))
+        lower = tanh_mode_ceiling(0.4, 0.2, np.cos, lambda t: -np.sin(t))
+        upper = tanh_mode_ceiling(0.9, 0.2, np.cos, lambda t: -np.sin(t))
         assert room_volume(disk, lower) < room_volume(disk, upper)
 
     def test_triangle_floor_rejected(self):
@@ -130,16 +140,13 @@ class TestCeilingArea:
         value = ceiling_area(disk, CeilingFunction.constant(height))
         assert value == pytest.approx(disk.area * math.cosh(height) ** 2, rel=1e-11)
 
-    def test_fd_fallback_matches_exact_gradient_on_constant(self):
-        disk = PolarDisk(1.0)
-        height = 0.8
-        with_fd = ceiling_area(disk, CeilingFunction(lambda r, t: height + 0.0 * (r + t)))
-        exact = ceiling_area(disk, CeilingFunction.constant(height))
-        assert with_fd == pytest.approx(exact, rel=1e-9)
+    def test_height_alone_is_not_a_ceiling(self):
+        with pytest.raises(TypeError):
+            CeilingFunction(lambda r, t: 0.8)
 
     def test_dropped_gradient_lower_bound(self):
         disk = PolarDisk(1.0)
-        ceiling = CeilingFunction(lambda r, t: 0.5 + 0.3 * np.sin(t) * np.tanh(r))
+        ceiling = tanh_mode_ceiling(0.5, 0.3, np.sin, np.cos)
         area = ceiling_area(disk, ceiling)
 
         def no_gradient(r, t):
@@ -238,7 +245,7 @@ class TestIsoperimetricCheck:
         assert abs(spec.margin) < 1e-8
 
     def test_wavy_ceiling_strict_gap(self):
-        ceiling = CeilingFunction(lambda r, t: 0.5 + 0.3 * np.sin(t) * np.tanh(r))
+        ceiling = tanh_mode_ceiling(0.5, 0.3, np.sin, np.cos)
         spec = isoperimetric_check(PolarDisk(1.0), ceiling)
         assert spec.margin > 0.0
         record = spec.to_record()
@@ -252,10 +259,10 @@ class TestIsoperimetricCheck:
             assert spec.margin > -1e-9
             assert spec.volume < 0.5 * constant_H() * spec.ceiling_area + 1e-9
 
-    def test_max_iter_caps_quadrature_orders(self):
+    def test_unmeetable_tolerance_names_the_quadrature(self):
         with pytest.raises(ConvergenceError, match="disk quadrature.*residual"):
             isoperimetric_check(
-                PolarDisk(1.0), CeilingFunction.constant(1.2), Tolerance(max_iter=1)
+                PolarDisk(1.0), CeilingFunction.constant(1.2), Tolerance(1e-300, 0.0)
             )
 
     def test_sweep_count_validation(self):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from turnover.engine import make_ledger, order4_refinement
 from turnover.errors import DomainError
 from turnover.simplices import (
     THETA_MAX,
@@ -75,6 +76,9 @@ class TestEdgeAngle:
             angle_from_edge(0.0)
         with pytest.raises(DomainError):
             angle_from_edge(-1.0)
+
+    def test_angle_from_edge_where_twice_cosh_overflows(self):
+        assert angle_from_edge(710.0) == angle_from_edge(100.0)
 
     def test_round_trip_grid(self):
         n = 200
@@ -252,10 +256,20 @@ class TestLengthFromDiskRadius:
             length_from_disk_radius(r)
 
     def test_unresolvable_radius(self):
+        # The length resolves, but its angle rounds to pi/3, which no
+        # T_theta has, so the disk refinement cannot be scored.
+        assert length_from_disk_radius(1e-12) == 55.262042231857095
+        ledger = make_ledger(TurnoverSignature(2, 4, 5), 1)
         with pytest.raises(DomainError):
-            length_from_disk_radius(1e-12)
+            order4_refinement(ledger, TurnoverSignature(2, 4, 5), 1e-12)
+
+    @pytest.mark.parametrize("r", [19.0, 20.0, 100.0])
+    def test_large_radius_keeps_precision(self, r):
+        with mpmath.workdps(40):
+            reference = float(2 * mpmath.asinh(1 / (2 * mpmath.sinh(r))))
+        assert length_from_disk_radius(r) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
     def test_overflowing_radius(self):
-        """cosh(800) overflows; math.cosh raises rather than returning inf."""
+        """sinh(800) overflows; math.sinh raises rather than returning inf."""
         with pytest.raises(DomainError):
             length_from_disk_radius(400.0)

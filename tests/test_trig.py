@@ -230,6 +230,11 @@ class TestHexagonSide:
     def test_limit_large_l(self):
         assert hexagon_side(20.0, 1.0) < 1e-4
 
+    @pytest.mark.parametrize("args", [(400.0, 1.0), (1e-200, 1.0)])
+    def test_extreme_sides_stay_finite(self, args):
+        d = hexagon_side(*args)
+        assert math.isfinite(d) and d > 0.0
+
     @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_domain(self, args):
         with pytest.raises(DomainError):
