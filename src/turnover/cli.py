@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations_with_replacement
 
 from . import collars, engine, trig
 from .errors import ConvergenceError, DomainError, InequalityViolation
@@ -189,6 +190,32 @@ def _cmd_analyze(args):
     return payload, text
 
 
+def _cmd_census(args):
+    if args.max_order < 2:
+        raise DomainError(f"max order must be >= 2, got {args.max_order}")
+    rows = []
+    for orders in combinations_with_replacement(range(2, args.max_order + 1), 3):
+        sig = TurnoverSignature(*orders)
+        if trig.classify(sig) is not trig.GeometryClass.HYPERBOLIC:
+            continue
+        report = engine.analyze(sig, args.ext)
+        excluded = sum(rec.verdict is engine.Verdict.EXCLUDED for rec in report.cases)
+        rows.append({
+            "sig": list(orders),
+            "ext": args.ext,
+            "conclusion": report.conclusion.value,
+            "excluded": excluded,
+            "survives": len(report.cases) - excluded,
+        })
+    payload = {"max_order": args.max_order, "ext": args.ext, "rows": rows}
+    text = [
+        f"({','.join(map(str, row['sig']))}) ext {row['ext']} {row['conclusion']}"
+        f"  excluded {row['excluded']} survives {row['survives']}"
+        for row in rows
+    ] or ["none"]
+    return payload, text
+
+
 def _cmd_rho3(args):
     if (args.theta is None) == (args.edge is None):
         raise DomainError("give exactly one of --theta or --edge")
@@ -316,6 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_signature_args(p)
     p.add_argument("--ext", type=int, default=1, choices=(1, 2))
     p.set_defaults(handler=_cmd_analyze)
+
+    p = sub.add_parser("census", parents=[common],
+                       help="analyze every hyperbolic signature up to a maximum order")
+    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--ext", type=int, default=1, choices=(1, 2))
+    p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("rho3", parents=[common],
                        help="truncated simplex volume and density")

@@ -17,8 +17,10 @@ the budgets halve, tracked by ``extension_index`` in {1, 2}.  The pipeline:
 3. ``miyamoto_case_scan``  -- for each candidate boundary, enumerate the
    return-path cases (k, closed), less the open ones that must close; each
    yields the volume lower bound rho3 * Area(boundary), with rho3 taken at
-   the exact theta the record reports (``TruncatedSimplexSpec.from_angle``),
-   and is Excluded when that bound exceeds the ledger's upper bound.
+   the exact theta the record reports, and is Excluded when that bound
+   exceeds the ledger's upper bound.  Theta, the minimal length and rho3
+   come from ``simplices.return_path_table``, computed once per exact
+   (chi(boundary), k, closed); the table holds numbers, never verdicts.
 4. ``order4_refinement`` / ``order5_refinement`` -- sharper per-case bounds
    from configuration-specific inputs (an exactly known embedded disk
    radius, or a perpendicular separation whose doubling bounds a closed
@@ -51,7 +53,12 @@ from typing import Iterable
 from .collars import ConeOrderSet, refined_boundary_orders
 from .errors import DomainError
 from .numerics import constant_H
-from .simplices import ReturnPathCase, TruncatedSimplexSpec, length_from_disk_radius
+from .simplices import (
+    ReturnPathCase,
+    TruncatedSimplexSpec,
+    length_from_disk_radius,
+    return_path_table,
+)
 from .trig import (
     GeometryClass,
     TurnoverSignature,
@@ -203,19 +210,27 @@ def miyamoto_case_scan(
 
     k ranges over {1} plus the cone orders of the boundary, each with
     closed in {True, False}, except the geometrically impossible open cases
-    (k > 1 occurring once on the boundary, so the path must close).
+    (k > 1 occurring once on the boundary, so the path must close).  The
+    boundary is validated once, by ``turnover_area``; every k is then 1 or
+    one of its orders, so each case is built straight from the table
+    without ``ReturnPathCase.build``.
     """
     area = turnover_area(boundary)
+    chi = boundary.chi_fraction()
     records = []
     for k in [1] + sorted(set(boundary.orders)):
         for closed in (True, False):
             if not closed and _forced_closed(boundary, k):
                 continue
-            case = ReturnPathCase.build(boundary, k, closed)
-            bound = TruncatedSimplexSpec.from_angle(case.theta).rho3 * area
-            records.append(
-                CaseRecord(case=case, lower_bound=bound, verdict=_verdict(ledger, bound))
+            theta, min_length, rho3 = return_path_table(
+                chi.numerator, chi.denominator, k, closed
             )
+            bound = rho3 * area
+            records.append(CaseRecord(
+                ReturnPathCase(boundary, k, closed, theta, min_length),
+                bound,
+                _verdict(ledger, bound),
+            ))
     return records
 
 

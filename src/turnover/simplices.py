@@ -27,8 +27,8 @@ converts a lower bound l on return-path length (geodesic arcs meeting the
 totally geodesic boundary perpendicularly at both ends) into a volume lower
 bound rho3(l/2) * Area(boundary).  ``TruncatedSimplexSpec`` is the only
 place the density is computed: ``rho3`` reads it through ``from_edge``, and
-the engine bounds each return-path case through ``from_angle`` at the exact
-theta the case reports.
+each return-path case is bounded through ``from_angle`` at the exact theta
+the case reports.
 
 The return-path length bound comes from a circle-packing estimate on the
 boundary: a shortest return path along a singular axis of maximal order k,
@@ -38,7 +38,12 @@ or crossing an order-2 axis (folded into k = 1), forces
     theta = pi / (3 (1 - (k/2) * chi))    (open path)
 
 where chi < 0 is the orbifold Euler characteristic of the boundary, and the
-path is at least as long as the edge of T_theta.
+path is at least as long as the edge of T_theta.  Both theta and the density
+depend only on the exact (chi, k, closed), so ``return_path_table`` computes
+(theta, edge, rho3) once per key in a bounded ``lru_cache``; the engine's
+case scan and ``ReturnPathCase.build`` read it.  The table holds numbers,
+never verdicts: each verdict compares a bound with the ledger it was scanned
+against.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ __all__ = [
     "rho3",
     "TruncatedSimplexSpec",
     "ReturnPathCase",
+    "return_path_table",
     "return_path_theta",
     "miyamoto_lower_bound",
     "length_from_disk_radius",
@@ -164,16 +170,35 @@ class TruncatedSimplexSpec:
         return cls.from_angle(angle_from_edge(length))
 
 
-def _theta_for(sig: TurnoverSignature, k: int, closed: bool) -> float:
+def _theta_for(chi: Fraction, k: int, closed: bool) -> float:
     """Return-path angle; the denominator is exact rational arithmetic.
 
     Keeping the denominator rational makes clean cases exact: the boundary
     (3,3,4) with k = 4 closed gives denominator 4 and theta = pi/4 on the
-    nose.  ``sig`` must be hyperbolic; ``ReturnPathCase.build`` checks.
+    nose.  ``chi`` is the boundary's exact Euler characteristic.
     """
     weight = Fraction(k) if closed else Fraction(k, 2)
-    denominator = 3 * (1 - weight * sig.chi_fraction())
+    denominator = 3 * (1 - weight * chi)
     return math.pi / float(denominator)
+
+
+@lru_cache(maxsize=8192)
+def return_path_table(
+    chi_numerator: int, chi_denominator: int, k: int, closed: bool
+) -> tuple[float, float, float]:
+    """(theta, min_length, rho3) of the return-path case with boundary
+    Euler characteristic chi_numerator / chi_denominator, axis order k and
+    the given closedness, computed once per exact key.
+
+    The key is integers, never a float, so two boundaries share an entry
+    exactly when their chi agree.  Callers validate the boundary and k
+    (``ReturnPathCase.build``, ``engine.miyamoto_case_scan``); a theta
+    outside [0, pi/3) raises ``DomainError`` here and is not cached.
+    """
+    spec = TruncatedSimplexSpec.from_angle(
+        _theta_for(Fraction(chi_numerator, chi_denominator), k, closed)
+    )
+    return spec.theta, spec.edge_length, spec.rho3
 
 
 @dataclass(frozen=True)
@@ -204,14 +229,12 @@ class ReturnPathCase:
             raise DomainError(f"k must be a positive integer, got {k!r}")
         if k != 1 and k not in boundary_sig.orders:
             raise DomainError(f"k={k} is neither 1 nor a cone order of {boundary_sig}")
-        theta = _theta_for(boundary_sig, k, closed)
-        return cls(
-            boundary_sig=boundary_sig,
-            k=k,
-            closed=bool(closed),
-            theta=theta,
-            min_length=edge_from_angle(theta),
+        closed = bool(closed)
+        chi = boundary_sig.chi_fraction()
+        theta, min_length, _ = return_path_table(
+            chi.numerator, chi.denominator, k, closed
         )
+        return cls(boundary_sig, k, closed, theta, min_length)
 
 
 def return_path_theta(case: ReturnPathCase) -> float:

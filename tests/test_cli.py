@@ -143,6 +143,31 @@ class TestAnalyze:
         assert "euclidean" in err
 
 
+class TestCensus:
+    # Census verdict table recorded for the benchmark; read here, never written.
+    GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "census.json"
+
+    @pytest.mark.parametrize("ext", [1, 2])
+    def test_rows_match_golden(self, capsys, ext):
+        golden = json.loads(self.GOLDEN.read_text())
+        assert golden["max_order"] == 7
+        payload = run_json(capsys, "census", "--max-order", "7", "--ext", str(ext))
+        assert payload["rows"] == [row for row in golden["rows"] if row["ext"] == ext]
+
+    def test_text_is_one_line_per_row(self, capsys):
+        code, out, _ = run(capsys, "census", "--max-order", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == len(run_json(capsys, "census", "--max-order", "5")["rows"])
+        assert "(2,4,5) ext 1 NoEmbeddedTurnovers  excluded 8 survives 2" in lines
+
+    @pytest.mark.parametrize("max_order", ["1", "0", "-3"])
+    def test_max_order_below_2_exits_2(self, capsys, max_order):
+        code, _, err = run(capsys, "census", "--max-order", max_order)
+        assert code == 2
+        assert "max order" in err
+
+
 class TestRho3:
     def test_theta_zero(self, capsys):
         payload = run_json(capsys, "rho3", "--theta", "0")

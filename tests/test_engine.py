@@ -35,7 +35,7 @@ from turnover.engine import (
 )
 from turnover.errors import DomainError
 from turnover.rooms import constant_H
-from turnover.simplices import TruncatedSimplexSpec
+from turnover.simplices import ReturnPathCase, TruncatedSimplexSpec, edge_from_angle
 from turnover.trig import TurnoverSignature, turnover_area
 
 # mpmath, 40 digits
@@ -49,6 +49,14 @@ SEPARATION_245 = 0.9213650173505565
 # Census verdict table over every hyperbolic signature with orders <= 7 at
 # ext 1 and 2, recorded for the benchmark; read here, never written.
 CENSUS_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "census.json"
+
+# Every census analysis; the four first checked keep their place (and ids).
+DENSITY_CHECKED = [((2, 4, 5), 1), ((2, 4, 6), 2), ((2, 4, 7), 2), ((7, 7, 7), 1)]
+DENSITY_CHECKED += [
+    (tuple(row["sig"]), row["ext"])
+    for row in json.loads(CENSUS_GOLDEN.read_text())["rows"]
+    if (tuple(row["sig"]), row["ext"]) not in DENSITY_CHECKED
+]
 
 HYPERBOLIC_UP_TO_9 = [
     (p, q, r)
@@ -209,6 +217,12 @@ class TestCaseScan:
         )
         records = miyamoto_case_scan(ledger, sig(3, 3, 4))
         assert all(rec.verdict is Verdict.SURVIVES for rec in records)
+
+    @pytest.mark.parametrize("boundary", [(3, 3, 3), (2, 3, 6)])
+    def test_rejects_euclidean_boundary(self, boundary):
+        ledger = make_ledger(sig(2, 4, 5), 1)
+        with pytest.raises(DomainError, match="euclidean"):
+            miyamoto_case_scan(ledger, sig(*boundary))
 
     def test_excluded_cases_exceed_the_bound(self):
         ledger = make_ledger(sig(2, 4, 5), 1)
@@ -421,21 +435,30 @@ class TestAnalyze:
         if ext1.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS:
             assert ext2.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS
 
-    @pytest.mark.parametrize(
-        "orders, ext", [((2, 4, 5), 1), ((2, 4, 6), 2), ((2, 4, 7), 2), ((7, 7, 7), 1)]
-    )
+    @pytest.mark.parametrize("orders, ext", DENSITY_CHECKED)
     def test_every_bound_is_the_density_at_its_theta(self, orders, ext):
-        """A payload's bound is the bound at the payload's theta, bit for bit,
-        for every case and refinement record."""
+        """Every case of every census analysis, bit for bit: theta is the
+        exact-rational formula, the minimal length is the edge at theta, the
+        bound is the density at theta times the boundary area, and the case
+        is the one ``ReturnPathCase.build`` makes.  Refinement bounds are the
+        density at their theta too."""
         report = analyze(sig(*orders), ext)
-        records = [(rec.case.boundary_sig, rec.case.theta, rec.lower_bound)
-                   for rec in report.cases]
-        records += [(rec.input.boundary, rec.theta, rec.lower_bound)
-                    for rec in report.refinements]
-        assert records
-        for boundary, theta, bound in records:
+        assert bool(report.cases) == bool(report.candidates)
+        for rec in report.cases:
+            case = rec.case
+            boundary, k, closed = case.boundary_sig, case.k, case.closed
+            chi = sum(Fraction(1, n) for n in boundary.orders) - 1
+            weight = Fraction(k) if closed else Fraction(k, 2)
+            theta = math.pi / float(3 * (1 - weight * chi))
+            assert case.theta == theta, case
+            assert case.min_length == edge_from_angle(theta), case
             expected = TruncatedSimplexSpec.from_angle(theta).rho3 * turnover_area(boundary)
-            assert bound == expected, (boundary, theta)
+            assert rec.lower_bound == expected, case
+            assert case == ReturnPathCase.build(boundary, k, closed)
+        for rec in report.refinements:
+            expected = (TruncatedSimplexSpec.from_angle(rec.theta).rho3
+                        * turnover_area(rec.input.boundary))
+            assert rec.lower_bound == expected, rec.input
 
     def test_refinement_input_validation(self):
         with pytest.raises(DomainError):

@@ -208,6 +208,11 @@ class TestReturnPathTheta:
         with pytest.raises(DomainError):
             ReturnPathCase.build(TurnoverSignature(2, 3, 6), k=1, closed=True)
 
+    @pytest.mark.parametrize("k", [0, True])
+    def test_rejects_k_that_is_not_a_positive_integer(self, k):
+        with pytest.raises(DomainError, match="positive integer"):
+            ReturnPathCase.build(TurnoverSignature(3, 3, 4), k=k, closed=True)
+
 
 class TestMiyamotoLowerBound:
     def test_334_chain(self):
