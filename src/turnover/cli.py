@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import combinations_with_replacement
 
 from . import collars, engine, trig
 from .errors import ConvergenceError, DomainError, InequalityViolation
@@ -194,14 +193,11 @@ def _cmd_census(args):
     if args.max_order < 2:
         raise DomainError(f"max order must be >= 2, got {args.max_order}")
     rows = []
-    for orders in combinations_with_replacement(range(2, args.max_order + 1), 3):
-        sig = TurnoverSignature(*orders)
-        if trig.classify(sig) is not trig.GeometryClass.HYPERBOLIC:
-            continue
+    for sig in trig.hyperbolic_signatures(range(2, args.max_order + 1)):
         report = engine.analyze(sig, args.ext)
         excluded = sum(rec.verdict is engine.Verdict.EXCLUDED for rec in report.cases)
         rows.append({
-            "sig": list(orders),
+            "sig": list(sig.orders),
             "ext": args.ext,
             "conclusion": report.conclusion.value,
             "excluded": excluded,

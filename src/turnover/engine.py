@@ -14,13 +14,11 @@ the budgets halve, tracked by ``extension_index`` in {1, 2}.  The pipeline:
    boundary: all three cone orders from an admissible set and area strictly
    below the two-sided budget (projection onto the boundary strictly
    decreases area, so equality is excluded).
-3. ``miyamoto_case_scan``  -- for each candidate boundary, enumerate the
-   return-path cases (k, closed), less the open ones that must close; each
-   yields the volume lower bound rho3 * Area(boundary), with rho3 taken at
-   the exact theta the record reports, and is Excluded when that bound
-   exceeds the ledger's upper bound.  Theta, the minimal length and rho3
-   come from ``simplices.return_path_table``, computed once per exact
-   (chi(boundary), k, closed); the table holds numbers, never verdicts.
+3. ``miyamoto_case_scan``  -- for each candidate boundary, the return-path
+   cases of ``simplices.boundary_cases`` with their volume lower bounds
+   rho3 * Area(boundary), computed once per boundary; each case is Excluded
+   when its bound exceeds the ledger's upper bound.  The rows hold no
+   verdict, so they are shared by every ledger.
 4. ``order4_refinement`` / ``order5_refinement`` -- sharper per-case bounds
    from configuration-specific inputs (an exactly known embedded disk
    radius, or a perpendicular separation whose doubling bounds a closed
@@ -47,7 +45,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable
 
 from .collars import ConeOrderSet, refined_boundary_orders
@@ -56,13 +53,12 @@ from .numerics import constant_H
 from .simplices import (
     ReturnPathCase,
     TruncatedSimplexSpec,
+    boundary_cases,
     length_from_disk_radius,
-    return_path_table,
 )
 from .trig import (
-    GeometryClass,
     TurnoverSignature,
-    classify,
+    hyperbolic_signatures,
     lambert_leg_bound,
     require_hyperbolic,
     triangle_geometry,
@@ -160,10 +156,7 @@ def boundary_candidates(
     """
     budget = _budget_defect(ledger.sig, ledger.extension_index)
     found = []
-    for triple in combinations_with_replacement(sorted(set(orders)), 3):
-        sig = TurnoverSignature(*triple)
-        if classify(sig) is not GeometryClass.HYPERBOLIC:
-            continue
+    for sig in hyperbolic_signatures(orders):
         defect = -sig.chi_fraction()
         if defect < budget:
             found.append((sig, turnover_area(sig)))
@@ -190,12 +183,6 @@ class CaseRecord:
         }
 
 
-def _forced_closed(boundary: TurnoverSignature, k: int) -> bool:
-    """A singular return path of order k must close when the boundary has a
-    single cone point of that order (both endpoints are that point)."""
-    return k != 1 and boundary.orders.count(k) == 1
-
-
 def _verdict(ledger: BoundLedger, lower_bound: float) -> Verdict:
     """Excluded when a volume lower bound exceeds the ledger's upper bound."""
     if lower_bound > ledger.upper_bound_with_boundary:
@@ -206,32 +193,12 @@ def _verdict(ledger: BoundLedger, lower_bound: float) -> Verdict:
 def miyamoto_case_scan(
     ledger: BoundLedger, boundary: TurnoverSignature
 ) -> list[CaseRecord]:
-    """Enumerate return-path cases for ``boundary`` against the ledger.
-
-    k ranges over {1} plus the cone orders of the boundary, each with
-    closed in {True, False}, except the geometrically impossible open cases
-    (k > 1 occurring once on the boundary, so the path must close).  The
-    boundary is validated once, by ``turnover_area``; every k is then 1 or
-    one of its orders, so each case is built straight from the table
-    without ``ReturnPathCase.build``.
-    """
-    area = turnover_area(boundary)
-    chi = boundary.chi_fraction()
-    records = []
-    for k in [1] + sorted(set(boundary.orders)):
-        for closed in (True, False):
-            if not closed and _forced_closed(boundary, k):
-                continue
-            theta, min_length, rho3 = return_path_table(
-                chi.numerator, chi.denominator, k, closed
-            )
-            bound = rho3 * area
-            records.append(CaseRecord(
-                ReturnPathCase(boundary, k, closed, theta, min_length),
-                bound,
-                _verdict(ledger, bound),
-            ))
-    return records
+    """The verdict of every case of ``simplices.boundary_cases(boundary)``
+    against the ledger; the cases and bounds do not depend on it."""
+    return [
+        CaseRecord(case, bound, _verdict(ledger, bound))
+        for case, bound in boundary_cases(boundary)
+    ]
 
 
 def order4_refinement(

@@ -38,12 +38,12 @@ or crossing an order-2 axis (folded into k = 1), forces
     theta = pi / (3 (1 - (k/2) * chi))    (open path)
 
 where chi < 0 is the orbifold Euler characteristic of the boundary, and the
-path is at least as long as the edge of T_theta.  Both theta and the density
-depend only on the exact (chi, k, closed), so ``return_path_table`` computes
-(theta, edge, rho3) once per key in a bounded ``lru_cache``; the engine's
-case scan and ``ReturnPathCase.build`` read it.  The table holds numbers,
-never verdicts: each verdict compares a bound with the ledger it was scanned
-against.
+path is at least as long as the edge of T_theta.  ``boundary_cases`` is the
+one place a boundary's cases are listed, each with its volume lower bound
+rho3 * Area(boundary), once per boundary in a bounded ``lru_cache``; the
+engine's case scan and ``ReturnPathCase.build`` read it.  The rows hold
+numbers, never verdicts: each verdict compares a bound with the ledger it
+was scanned against.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .numerics import _fixed_rule, lobachevsky
-from .trig import TurnoverSignature, hexagon_side, require_hyperbolic
+from .trig import TurnoverSignature, hexagon_side, turnover_area
 
 __all__ = [
     "THETA_MAX",
@@ -65,7 +65,7 @@ __all__ = [
     "rho3",
     "TruncatedSimplexSpec",
     "ReturnPathCase",
-    "return_path_table",
+    "boundary_cases",
     "return_path_theta",
     "miyamoto_lower_bound",
     "length_from_disk_radius",
@@ -101,11 +101,17 @@ def _cosh(x: float) -> float:
 
 def angle_from_edge(length: float) -> float:
     """Inverse of ``edge_from_angle``: arccos(cosh l / (2 cosh l - 1)),
-    with the ratio halved through so that 2 cosh l cannot overflow."""
+    with the ratio halved through so that 2 cosh l cannot overflow.  From
+    about l = 35.64 on the angle rounds onto pi/3, which no T_theta has."""
     if not (length > 0.0):
         raise DomainError(f"edge length must be positive, got {length}")
     ch = _cosh(length)
-    return math.acos(min(0.5 * ch / (ch - 0.5), 1.0))
+    theta = math.acos(min(0.5 * ch / (ch - 0.5), 1.0))
+    if not (theta < THETA_MAX):
+        raise DomainError(
+            f"edge length {length} is too long: its dihedral angle rounds onto pi/3"
+        )
+    return theta
 
 
 def _log_chord(t: float) -> float:
@@ -182,25 +188,6 @@ def _theta_for(chi: Fraction, k: int, closed: bool) -> float:
     return math.pi / float(denominator)
 
 
-@lru_cache(maxsize=8192)
-def return_path_table(
-    chi_numerator: int, chi_denominator: int, k: int, closed: bool
-) -> tuple[float, float, float]:
-    """(theta, min_length, rho3) of the return-path case with boundary
-    Euler characteristic chi_numerator / chi_denominator, axis order k and
-    the given closedness, computed once per exact key.
-
-    The key is integers, never a float, so two boundaries share an entry
-    exactly when their chi agree.  Callers validate the boundary and k
-    (``ReturnPathCase.build``, ``engine.miyamoto_case_scan``); a theta
-    outside [0, pi/3) raises ``DomainError`` here and is not cached.
-    """
-    spec = TruncatedSimplexSpec.from_angle(
-        _theta_for(Fraction(chi_numerator, chi_denominator), k, closed)
-    )
-    return spec.theta, spec.edge_length, spec.rho3
-
-
 @dataclass(frozen=True)
 class ReturnPathCase:
     """One (boundary, k, closed) configuration for the shortest return path.
@@ -224,17 +211,40 @@ class ReturnPathCase:
     def build(
         cls, boundary_sig: TurnoverSignature, k: int, closed: bool
     ) -> "ReturnPathCase":
-        require_hyperbolic(boundary_sig)
+        """The row of ``boundary_cases(boundary_sig)`` with this k and
+        closedness; a case the boundary cannot carry is a ``DomainError``."""
+        rows = boundary_cases(boundary_sig)
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise DomainError(f"k must be a positive integer, got {k!r}")
-        if k != 1 and k not in boundary_sig.orders:
-            raise DomainError(f"k={k} is neither 1 nor a cone order of {boundary_sig}")
-        closed = bool(closed)
-        chi = boundary_sig.chi_fraction()
-        theta, min_length, _ = return_path_table(
-            chi.numerator, chi.denominator, k, closed
+        for case, _ in rows:
+            if (case.k, case.closed) == (k, bool(closed)):
+                return case
+        raise DomainError(
+            f"{boundary_sig} has no {'closed' if closed else 'open'} return-path"
+            f" case with k={k}: k is 1 or a cone order, and an open path along"
+            " a cone order that occurs once must close"
         )
-        return cls(boundary_sig, k, closed, theta, min_length)
+
+
+@lru_cache(maxsize=4096)
+def boundary_cases(
+    boundary_sig: TurnoverSignature,
+) -> tuple[tuple[ReturnPathCase, float], ...]:
+    """(case, rho3 * Area(boundary)) for each return-path case of a
+    hyperbolic boundary: k over {1} plus its cone orders, closed then open,
+    less the open paths along a cone order that occurs once (both ends are
+    that one cone point, so the path closes)."""
+    area = turnover_area(boundary_sig)
+    chi = boundary_sig.chi_fraction()
+    rows = []
+    for k in [1] + sorted(set(boundary_sig.orders)):
+        for closed in (True, False):
+            if not closed and k != 1 and boundary_sig.orders.count(k) == 1:
+                continue
+            spec = TruncatedSimplexSpec.from_angle(_theta_for(chi, k, closed))
+            case = ReturnPathCase(boundary_sig, k, closed, spec.theta, spec.edge_length)
+            rows.append((case, spec.rho3 * area))
+    return tuple(rows)
 
 
 def return_path_theta(case: ReturnPathCase) -> float:

@@ -3,6 +3,7 @@
 A turnover is the double of a hyperbolic triangle with angles pi/p, pi/q,
 pi/r along its boundary: a 2-sphere with three cone points.  This module
 holds the signature type, the spherical/Euclidean/hyperbolic trichotomy,
+the one enumerator of hyperbolic signatures over a set of cone orders,
 Gauss-Bonnet areas, side lengths from the angle law of cosines, and the two
 polygon laws (almost-right Lambert quadrilateral, all-right hexagon) that
 the distance arguments downstream rely on.
@@ -17,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 
@@ -25,6 +28,7 @@ __all__ = [
     "TurnoverSignature",
     "GeometryClass",
     "classify",
+    "hyperbolic_signatures",
     "turnover_area",
     "TriangleGeometry",
     "triangle_geometry",
@@ -99,6 +103,15 @@ def classify(sig: TurnoverSignature) -> GeometryClass:
     if chi == 0:
         return GeometryClass.EUCLIDEAN
     return GeometryClass.HYPERBOLIC
+
+
+def hyperbolic_signatures(orders: Iterable[int]) -> Iterator[TurnoverSignature]:
+    """Every hyperbolic signature whose cone orders all lie in ``orders``,
+    each once, in lexicographic order of (p, q, r)."""
+    for triple in combinations_with_replacement(sorted(set(orders)), 3):
+        sig = TurnoverSignature(*triple)
+        if classify(sig) is GeometryClass.HYPERBOLIC:
+            yield sig
 
 
 def require_hyperbolic(sig: TurnoverSignature) -> None:

@@ -190,6 +190,11 @@ class TestRho3:
         code, _, err = run(capsys, "rho3", "--edge", "1000")
         assert code == 2 and "overflows" in err
 
+    @pytest.mark.parametrize("edge", ["inf", "40"])
+    def test_edge_whose_angle_rounds_onto_pi_over_3_exits_2(self, capsys, edge):
+        code, _, err = run(capsys, "rho3", "--edge", edge)
+        assert code == 2 and f"edge length {float(edge)} " in err
+
     def test_requires_exactly_one_input(self, capsys):
         assert run(capsys, "rho3")[0] == 2
         assert run(capsys, "rho3", "--theta", "0.1", "--edge", "1.0")[0] == 2

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnover.collars import cone_order_universe, refined_boundary_orders
@@ -36,7 +36,7 @@ from turnover.engine import (
 from turnover.errors import DomainError
 from turnover.rooms import constant_H
 from turnover.simplices import ReturnPathCase, TruncatedSimplexSpec, edge_from_angle
-from turnover.trig import TurnoverSignature, turnover_area
+from turnover.trig import GeometryClass, TurnoverSignature, classify, turnover_area
 
 # mpmath, 40 digits
 UB_WITH_BOUNDARY_245 = 0.3768901602902289
@@ -79,6 +79,21 @@ def brute_force_candidates(budget_defect: Fraction, orders):
             out.append((p, q, r))
     out.sort(key=lambda t: (1 - Fraction(1, t[0]) - Fraction(1, t[1]) - Fraction(1, t[2]), t))
     return out
+
+
+def per_triple_candidates(ledger, orders):
+    """Reference for ``boundary_candidates``: one signature, one exact
+    comparison and one area per triple, then a sort by exact defect."""
+    budget = 2 * -ledger.sig.chi_fraction() / ledger.extension_index
+    found = []
+    for triple in combinations_with_replacement(sorted(set(orders)), 3):
+        boundary = TurnoverSignature(*triple)
+        if classify(boundary) is not GeometryClass.HYPERBOLIC:
+            continue
+        if -boundary.chi_fraction() < budget:
+            found.append((boundary, turnover_area(boundary)))
+    found.sort(key=lambda item: (-item[0].chi_fraction(), item[0].orders))
+    return found
 
 
 class TestLedger:
@@ -170,6 +185,27 @@ class TestBoundaryCandidates:
     def test_empty_order_set(self):
         ledger = make_ledger(sig(2, 4, 5), 1)
         assert boundary_candidates(ledger, []) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        orders=st.tuples(*[st.integers(min_value=2, max_value=30)] * 3).filter(
+            lambda o: sum(Fraction(1, n) for n in o) < 1
+        ),
+        ext=st.sampled_from([1, 2]),
+        subset=st.lists(st.integers(min_value=2, max_value=30), max_size=12),
+        one_shot=st.booleans(),
+    )
+    @example(orders=(2, 4, 5), ext=1, subset=[], one_shot=True)
+    @example(orders=(7, 7, 7), ext=2, subset=[2, 3, 7, 14, 3], one_shot=True)
+    def test_matches_the_per_triple_exact_loop(self, orders, ext, subset, one_shot):
+        """Same signatures, areas (bit for bit) and order as the exact loop,
+        for any order subset, including an empty one and a one-shot
+        generator."""
+        ledger = make_ledger(sig(*orders), ext)
+        given_orders = (n for n in subset) if one_shot else subset
+        assert boundary_candidates(ledger, given_orders) == per_triple_candidates(
+            ledger, subset
+        )
 
 
 class TestCaseScan:

@@ -78,7 +78,23 @@ class TestEdgeAngle:
             angle_from_edge(-1.0)
 
     def test_angle_from_edge_where_twice_cosh_overflows(self):
-        assert angle_from_edge(710.0) == angle_from_edge(100.0)
+        """2 cosh 710 overflows; the length is rejected like any other whose
+        angle rounds onto pi/3, never mapped to pi/2."""
+        for length in (100.0, 710.0):
+            with pytest.raises(DomainError, match=f"edge length {length} "):
+                angle_from_edge(length)
+
+    @pytest.mark.parametrize("length", [36.0, math.inf])
+    def test_angle_from_edge_names_a_length_whose_angle_rounds_onto_pi_over_3(
+        self, length
+    ):
+        with pytest.raises(DomainError, match=f"edge length {length} "):
+            angle_from_edge(length)
+        with pytest.raises(DomainError, match=f"edge length {length} "):
+            TruncatedSimplexSpec.from_edge(length)
+
+    def test_angle_from_edge_just_below_the_rounding_limit(self):
+        assert angle_from_edge(35.6) < THETA_MAX
 
     def test_round_trip_grid(self):
         n = 200
@@ -203,6 +219,12 @@ class TestReturnPathTheta:
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             ReturnPathCase.build(TurnoverSignature(3, 3, 4), k=5, closed=True)
+
+    def test_rejects_an_open_path_that_must_close(self):
+        # Order 4 occurs once on (3,3,4): a path along it starts and ends at
+        # that one cone point.
+        with pytest.raises(DomainError, match="must close"):
+            ReturnPathCase.build(TurnoverSignature(3, 3, 4), 4, closed=False)
 
     def test_rejects_non_hyperbolic_boundary(self):
         with pytest.raises(DomainError):
