@@ -97,7 +97,10 @@ def _cmd_orders(args):
 
 
 def _cmd_supergroups(args):
+    orders = (args.p, args.q, args.r)
     if args.table:
+        if orders != (None, None, None):
+            raise DomainError("give either p q r or --table, not both")
         payload = {"table": collars.supergroup_table_json()}
         text = [
             f"{row['super']} >= {row['sub']}  index {row['index']}"
@@ -105,9 +108,9 @@ def _cmd_supergroups(args):
             for row in payload["table"]
         ]
         return payload, text
-    if args.p is None or args.q is None or args.r is None:
+    if None in orders:
         raise DomainError("supergroups needs p q r, or --table")
-    sig = TurnoverSignature(args.p, args.q, args.r)
+    sig = TurnoverSignature(*orders)
     rows = collars.supergroups(sig)
     payload = {
         "signature": list(sig.orders),

@@ -159,9 +159,9 @@ def boundary_candidates(
     for sig in hyperbolic_signatures(orders):
         defect = -sig.chi_fraction()
         if defect < budget:
-            found.append((sig, turnover_area(sig)))
-    found.sort(key=lambda item: (-item[0].chi_fraction(), item[0].orders))
-    return found
+            found.append((defect, sig))
+    found.sort()
+    return [(sig, turnover_area(sig)) for _, sig in found]
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,10 @@ class CeilingFunction:
 
     @staticmethod
     def constant(h: float) -> "CeilingFunction":
+        if math.isnan(h):
+            raise DomainError("constant ceiling height is not a number (nan)")
         if not (math.isfinite(h) and h >= 0.0):
-            raise DomainError(f"constant ceiling height must be >= 0, got {h}")
+            raise DomainError(f"constant ceiling height must be finite and >= 0, got {h}")
         return CeilingFunction(height=lambda r, theta: h,
                                gradient=lambda r, theta: (0.0, 0.0))
 

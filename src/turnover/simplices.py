@@ -103,6 +103,8 @@ def angle_from_edge(length: float) -> float:
     """Inverse of ``edge_from_angle``: arccos(cosh l / (2 cosh l - 1)),
     with the ratio halved through so that 2 cosh l cannot overflow.  From
     about l = 35.64 on the angle rounds onto pi/3, which no T_theta has."""
+    if math.isnan(length):
+        raise DomainError("edge length is not a number (nan)")
     if not (length > 0.0):
         raise DomainError(f"edge length must be positive, got {length}")
     ch = _cosh(length)
@@ -144,6 +146,8 @@ def truncated_simplex_volume(theta: float) -> float:
 
 def rho3(r: float) -> float:
     """Volume-to-truncation-area density of the T_theta with half-edge r."""
+    if math.isnan(r):
+        raise DomainError("half edge length is not a number (nan)")
     if not (r > 0.0):
         raise DomainError(f"half edge length must be positive, got {r}")
     return TruncatedSimplexSpec.from_edge(2.0 * r).rho3
@@ -202,10 +206,6 @@ class ReturnPathCase:
     closed: bool
     theta: float
     min_length: float
-
-    @property
-    def chi(self) -> float:
-        return self.boundary_sig.euler_char
 
     @classmethod
     def build(

@@ -8,8 +8,11 @@ Gauss-Bonnet areas, side lengths from the angle law of cosines, and the two
 polygon laws (almost-right Lambert quadrilateral, all-right hexagon) that
 the distance arguments downstream rely on.
 
-Classification is done in exact rational arithmetic so that Euclidean
-signatures such as (3, 3, 3) are never misclassified by float rounding.
+A signature stores only its orders p <= q <= r.  Its Euler characteristic
+chi = 1/p + 1/q + 1/r - 1 is one exact ``Fraction``, computed when it is
+read.  Classification reads its sign, so a Euclidean signature such as
+(3, 3, 3) is never misclassified by float rounding, and the area is
+-2 pi chi.
 """
 
 from __future__ import annotations
@@ -62,25 +65,15 @@ class TurnoverSignature:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "r", r)
-        # Not a field: equality, hashing, ordering and repr ignore it.
-        object.__setattr__(
-            self, "_chi", Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
-        )
 
     @property
     def orders(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)
 
     def chi_fraction(self) -> Fraction:
-        """Orbifold Euler characteristic 1/p + 1/q + 1/r - 1, exactly.
-
-        Computed once, when the signature is built.
-        """
-        return self._chi
-
-    @property
-    def euler_char(self) -> float:
-        return float(self.chi_fraction())
+        """Orbifold Euler characteristic 1/p + 1/q + 1/r - 1, exactly."""
+        p, q, r = self.p, self.q, self.r
+        return Fraction(q * r + p * r + p * q - p * q * r, p * q * r)
 
     def __iter__(self):
         return iter(self.orders)
@@ -128,7 +121,8 @@ def turnover_area(sig: TurnoverSignature) -> float:
 
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """Angles, side lengths, and areas of the hyperbolic (p, q, r) triangle.
+    """Angles, side lengths, and area of the hyperbolic (p, q, r) triangle;
+    the turnover's area is ``turnover_area(signature)``.
 
     ``sides[i]`` is opposite ``angles[i]``, i.e. it joins the two vertices
     whose orders are the other two entries of the signature.  ``diameter``
@@ -140,8 +134,6 @@ class TriangleGeometry:
     angles: tuple[float, float, float]
     sides: tuple[float, float, float]
     area_triangle: float
-    area_turnover: float
-    euler_char: float
     diameter: float
 
     def side_between(self, order_a: int, order_b: int) -> float:
@@ -177,14 +169,11 @@ def triangle_geometry(sig: TurnoverSignature) -> TriangleGeometry:
         return math.acosh(max(num / den, 1.0))
 
     sides = (side_opposite(0), side_opposite(1), side_opposite(2))
-    area = turnover_area(sig)
     return TriangleGeometry(
         signature=sig,
         angles=angles,
         sides=sides,
-        area_triangle=0.5 * area,
-        area_turnover=area,
-        euler_char=sig.euler_char,
+        area_triangle=0.5 * turnover_area(sig),
         diameter=max(sides),
     )
 

@@ -112,6 +112,14 @@ class TestSupergroups:
         code, _, _ = run(capsys, "supergroups")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["2", "4", "5", "--table"], ["--table", "7"]])
+    def test_signature_with_table_exits_2(self, capsys, argv):
+        """--table prints the whole table, so a signature beside it is a
+        usage error, not silently dropped."""
+        code, out, err = run(capsys, "supergroups", *argv)
+        assert code == 2 and out == ""
+        assert "not both" in err
+
 
 class TestBounds:
     def test_ext2(self, capsys):
@@ -195,6 +203,10 @@ class TestRho3:
         code, _, err = run(capsys, "rho3", "--edge", edge)
         assert code == 2 and f"edge length {float(edge)} " in err
 
+    def test_nan_edge_exits_2_naming_nan(self, capsys):
+        code, _, err = run(capsys, "rho3", "--edge", "nan")
+        assert code == 2 and "edge length is not a number" in err
+
     def test_requires_exactly_one_input(self, capsys):
         assert run(capsys, "rho3")[0] == 2
         assert run(capsys, "rho3", "--theta", "0.1", "--edge", "1.0")[0] == 2
@@ -215,6 +227,13 @@ class TestRoomCheck:
 
     def test_zero_count_exits_2(self, capsys):
         assert run(capsys, "room-check", "--count", "0")[0] == 2
+
+    @pytest.mark.parametrize(
+        "height, message", [("nan", "is not a number"), ("inf", "must be finite")]
+    )
+    def test_constant_that_is_no_height_exits_2(self, capsys, height, message):
+        code, _, err = run(capsys, "room-check", "--constant", height, "--count", "1")
+        assert code == 2 and f"constant ceiling height {message}" in err
 
     def test_determinism(self, capsys):
         first = run_json(capsys, "room-check", "--seed", "9", "--count", "3")

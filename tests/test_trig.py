@@ -2,6 +2,7 @@
 polygon laws.  Frozen values from mpmath at 40 digits."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from turnover.errors import DomainError
 from turnover.trig import (
+    MAX_CONE_ORDER,
     GeometryClass,
     TurnoverSignature,
     classify,
@@ -27,6 +29,13 @@ SIDE_245_BETWEEN_2_4 = 0.5306375309525178  # acosh(sqrt(2) cos(pi/5))
 LAMBERT_LEG_245 = 0.9213650173505565
 HEXAGON_1_1_COSH = 2.8413471884155846
 HEXAGON_1_1 = 1.7049128323580137
+
+# Every allowed cone order, with small ones drawn often enough to reach the
+# spherical and Euclidean signatures.
+any_order = st.one_of(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=2, max_value=MAX_CONE_ORDER),
+)
 
 hyperbolic_signatures = (
     st.tuples(
@@ -60,15 +69,32 @@ class TestSignature:
 
     def test_chi_is_exact(self):
         assert TurnoverSignature(3, 3, 3).chi_fraction() == 0
-        assert TurnoverSignature(2, 4, 5).euler_char == pytest.approx(-0.05)
+        assert TurnoverSignature(2, 4, 5).chi_fraction() == Fraction(-1, 20)
 
-    def test_stored_chi_is_not_a_field(self):
-        """chi is computed once per signature; equality, hashing, ordering,
-        repr and dataclasses.replace see only p, q, r."""
+    @given(orders=st.tuples(any_order, any_order, any_order))
+    def test_chi_is_the_sum_of_reciprocals(self, orders):
+        """chi_fraction() is 1/p + 1/q + 1/r - 1 in any input order, and
+        classify reads its sign."""
+        p, q, r = orders
+        chi = Fraction(1, p) + Fraction(1, q) + Fraction(1, r) - 1
+        kind = (
+            GeometryClass.SPHERICAL if chi > 0
+            else GeometryClass.EUCLIDEAN if chi == 0
+            else GeometryClass.HYPERBOLIC
+        )
+        for perm in itertools.permutations(orders):
+            sig = TurnoverSignature(*perm)
+            assert sig.chi_fraction() == chi
+            assert classify(sig) is kind
+
+    def test_orders_are_the_only_state(self):
+        """Equality, hashing, ordering, repr, fields, the instance dict and
+        dataclasses.replace see only p, q, r."""
         a, b = TurnoverSignature(5, 2, 4), TurnoverSignature(2, 4, 5)
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "TurnoverSignature(p=2, q=4, r=5)"
         assert [f.name for f in dataclasses.fields(a)] == ["p", "q", "r"]
+        assert vars(a) == {"p": 2, "q": 4, "r": 5}
         assert sorted([TurnoverSignature(3, 3, 4), a]) == [a, TurnoverSignature(3, 3, 4)]
         assert dataclasses.replace(a, r=7).chi_fraction() == Fraction(-3, 28)
 
@@ -113,7 +139,7 @@ class TestArea:
     @given(sig=hyperbolic_signatures)
     def test_gauss_bonnet(self, sig):
         assert turnover_area(sig) == pytest.approx(
-            -2.0 * math.pi * sig.euler_char, abs=1e-12
+            -2.0 * math.pi * float(sig.chi_fraction()), abs=1e-12
         )
         assert 0.0 < turnover_area(sig) < 2.0 * math.pi
 
@@ -140,9 +166,10 @@ class TestTriangleGeometry:
         assert geo.sides[0] == geo.sides[1] == geo.sides[2]
 
     def test_area_fields(self):
-        geo = triangle_geometry(TurnoverSignature(2, 4, 5))
-        assert geo.area_turnover == pytest.approx(math.pi / 10.0, abs=1e-14)
+        sig = TurnoverSignature(2, 4, 5)
+        geo = triangle_geometry(sig)
         assert geo.area_triangle == pytest.approx(math.pi / 20.0, abs=1e-14)
+        assert 2.0 * geo.area_triangle == turnover_area(sig)
 
     def test_side_between_unknown_pair(self):
         geo = triangle_geometry(TurnoverSignature(2, 4, 5))
@@ -156,10 +183,9 @@ class TestTriangleGeometry:
     @given(sig=hyperbolic_signatures)
     def test_invariants(self, sig):
         geo = triangle_geometry(sig)
-        assert geo.area_turnover == pytest.approx(
-            -2.0 * math.pi * geo.euler_char, abs=1e-12
+        assert 2.0 * geo.area_triangle == pytest.approx(
+            -2.0 * math.pi * float(sig.chi_fraction()), abs=1e-12
         )
-        assert geo.area_turnover == pytest.approx(2.0 * geo.area_triangle, abs=1e-12)
         assert sum(geo.angles) < math.pi
         assert geo.diameter == max(geo.sides)
         a, b, c = geo.sides
