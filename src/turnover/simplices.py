@@ -254,6 +254,8 @@ def return_path_theta(case: ReturnPathCase) -> float:
 
 def miyamoto_lower_bound(boundary_area: float, length: float) -> float:
     """Volume lower bound rho3(l/2) * boundary_area from return-path length l."""
+    if math.isnan(boundary_area):
+        raise DomainError("boundary area is not a number (nan)")
     if not (boundary_area > 0.0):
         raise DomainError(f"boundary area must be positive, got {boundary_area}")
     return rho3(length / 2.0) * boundary_area
@@ -266,6 +268,8 @@ def length_from_disk_radius(disk_r: float) -> float:
     cosh l >= cosh 2r / (cosh 2r - 1); this returns the equality value,
     ``hexagon_side(2r, 2r)``.
     """
+    if math.isnan(disk_r):
+        raise DomainError("disk radius is not a number (nan)")
     if not (disk_r > 0.0):
         raise DomainError(f"disk radius must be positive, got {disk_r}")
     return hexagon_side(2.0 * disk_r, 2.0 * disk_r)

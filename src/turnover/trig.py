@@ -185,6 +185,8 @@ def lambert_leg_bound(d: float) -> float:
     of a segment of length ``d`` and staying disjoint from a perpendicular
     geodesic at the far end forces the adjacent leg to exceed this value.
     """
+    if math.isnan(d):
+        raise DomainError("leg-bound base length is not a number (nan)")
     if not (d > 0.0):
         raise DomainError(f"leg-bound base length must be positive, got {d}")
     return math.asinh(1.0 / math.sinh(d))
@@ -199,6 +201,8 @@ def hexagon_side(l: float, l_prime: float) -> float:
     in cosh d - 1.  Sides for which a term leaves float range raise
     ``DomainError``.
     """
+    if math.isnan(l) or math.isnan(l_prime):
+        raise DomainError("hexagon side is not a number (nan)")
     if not (l > 0.0 and l_prime > 0.0):
         raise DomainError("hexagon sides must be positive")
     try:

@@ -10,14 +10,14 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from turnover.collars import cone_order_universe, refined_boundary_orders
+from turnover.collars import ConeOrderSet, cone_order_universe, refined_boundary_orders
 from turnover.engine import (
     Conclusion,
     RefinementInput,
@@ -162,14 +162,10 @@ class TestBoundaryCandidates:
     def test_exact_budget_is_excluded(self):
         # (2,5,5) has area exactly the two-sided budget of (2,4,5) at ext 1.
         ledger = make_ledger(sig(2, 4, 5), 1)
-        from turnover.collars import ConeOrderSet
-
         rows = boundary_candidates(ledger, ConeOrderSet((2, 3, 4, 5)))
         assert (2, 5, 5) not in [s.orders for s, _ in rows]
 
     def test_superset_monotonicity(self):
-        from turnover.collars import ConeOrderSet
-
         ledger = make_ledger(sig(2, 4, 5), 1)
         small = boundary_candidates(ledger, ConeOrderSet((2, 3, 4)))
         large = boundary_candidates(ledger, ConeOrderSet((2, 3, 4, 5)))
@@ -185,6 +181,38 @@ class TestBoundaryCandidates:
     def test_empty_order_set(self):
         ledger = make_ledger(sig(2, 4, 5), 1)
         assert boundary_candidates(ledger, []) == []
+
+    def test_float_order_raises_before_and_after_caching(self):
+        """The table is cached by typed orders: 2.0 is not 2, and it
+        reaches ``TurnoverSignature``, which rejects it."""
+        ledger = make_ledger(sig(2, 4, 5), 1)
+        with pytest.raises(DomainError):
+            boundary_candidates(ledger, [2.0, 4, 5])
+        assert boundary_candidates(ledger, [2, 4, 5])
+        with pytest.raises(DomainError):
+            boundary_candidates(ledger, [2.0, 4, 5])
+
+    def test_mutating_a_result_leaves_the_next_call_alone(self):
+        ledger = make_ledger(sig(2, 4, 5), 1)
+        orders = refined_boundary_orders(sig(2, 4, 5))
+        expected = [(s, turnover_area(s)) for s in (sig(2, 4, 5), sig(3, 3, 4))]
+        assert boundary_candidates(ledger, orders) == expected
+        boundary_candidates(ledger, orders).append((sig(7, 7, 7), 0.0))
+        assert boundary_candidates(ledger, orders) == expected
+        boundary_candidates(ledger, orders).clear()
+        assert boundary_candidates(ledger, orders) == expected
+
+    def test_one_order_set_two_budgets(self):
+        """One cached table, cut at the ext 1 and the ext 2 budget of (2,4,5)."""
+        orders = ConeOrderSet(tuple(range(2, 13)))
+        rows = {}
+        for ext in (1, 2):
+            ledger = make_ledger(sig(2, 4, 5), ext)
+            rows[ext] = [s.orders for s, _ in boundary_candidates(ledger, orders)]
+        assert rows[1] == brute_force_candidates(Fraction(1, 10), list(orders))
+        assert rows[2] == brute_force_candidates(Fraction(1, 20), list(orders))
+        assert rows[2] == [(2, 3, 7), (2, 3, 8)]
+        assert rows[1][: len(rows[2])] == rows[2] and len(rows[1]) > len(rows[2])
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -471,6 +499,21 @@ class TestAnalyze:
         if ext1.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS:
             assert ext2.conclusion is Conclusion.NO_EMBEDDED_TURNOVERS
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        orders=st.tuples(*[st.integers(min_value=2, max_value=12)] * 3).filter(
+            lambda o: sum(Fraction(1, n) for n in o) < 1
+        ),
+        ext=st.sampled_from([1, 2]),
+    )
+    def test_permutation_invariance(self, orders, ext):
+        """The payload depends on the orders as a multiset, not their order."""
+        payloads = {
+            json.dumps(analyze(TurnoverSignature(*perm), ext).to_dict())
+            for perm in permutations(orders)
+        }
+        assert len(payloads) == 1
+
     @pytest.mark.parametrize("orders, ext", DENSITY_CHECKED)
     def test_every_bound_is_the_density_at_its_theta(self, orders, ext):
         """Every case of every census analysis, bit for bit: theta is the
@@ -501,6 +544,10 @@ class TestAnalyze:
             RefinementInput(sig(2, 4, 5), 4, "nope", 1.0)
         with pytest.raises(DomainError):
             RefinementInput(sig(2, 4, 5), 4, "disk", 0.0)
+
+    def test_nan_refinement_input_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match="refinement input is not a number"):
+            RefinementInput(sig(2, 4, 5), 4, "disk", math.nan)
 
 
 class TestRegistry:

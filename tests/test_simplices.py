@@ -270,6 +270,10 @@ class TestMiyamotoLowerBound:
         with pytest.raises(DomainError):
             miyamoto_lower_bound(0.0, 1.0)
 
+    def test_nan_area_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match="boundary area is not a number"):
+            miyamoto_lower_bound(math.nan, 1.0)
+
 
 class TestLengthFromDiskRadius:
     def test_reference_value(self):
@@ -286,6 +290,10 @@ class TestLengthFromDiskRadius:
     def test_domain(self, r):
         with pytest.raises(DomainError):
             length_from_disk_radius(r)
+
+    def test_nan_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match="disk radius is not a number"):
+            length_from_disk_radius(math.nan)
 
     def test_unresolvable_radius(self):
         # The length resolves, but its angle rounds to pi/3, which no

@@ -232,6 +232,10 @@ class TestLambertLegBound:
         with pytest.raises(DomainError):
             lambert_leg_bound(d)
 
+    def test_nan_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match="base length is not a number"):
+            lambert_leg_bound(math.nan)
+
 
 class TestHexagonSide:
     def test_equal_sides_value(self):
@@ -264,4 +268,9 @@ class TestHexagonSide:
     @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_domain(self, args):
         with pytest.raises(DomainError):
+            hexagon_side(*args)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_is_named_not_a_number(self, args):
+        with pytest.raises(DomainError, match="hexagon side is not a number"):
             hexagon_side(*args)
