@@ -17,9 +17,11 @@ the budgets halve, tracked by ``extension_index`` in {1, 2}.  The pipeline:
    exact table per order set, cut by a bisect on the budget.
 3. ``miyamoto_case_scan``  -- for each candidate boundary, the return-path
    cases of ``simplices.boundary_cases`` with their volume lower bounds
-   rho3 * Area(boundary), computed once per boundary; each case is Excluded
-   when its bound exceeds the ledger's upper bound.  The rows hold no
-   verdict, so they are shared by every ledger.
+   rho3 * Area(boundary).  The engine's one per-boundary cache holds, for
+   each case, its bound and two frozen records, one Excluded and one
+   Survives, built once per boundary and shared by every ledger; a scan
+   picks the Excluded record when the bound exceeds the ledger's upper
+   bound.
 4. ``order4_refinement`` / ``order5_refinement`` -- sharper per-case bounds
    from configuration-specific inputs (an exactly known embedded disk
    radius, or a perpendicular separation whose doubling bounds a closed
@@ -159,23 +161,33 @@ def boundary_candidates(
     The rows are a prefix of the order set's cached candidate table, cut by
     a bisect on the budget; the list is the caller's own.
     """
-    defects, rows = _candidate_table(*sorted(set(orders)))
+    scale, keys, rows = _candidate_table(*sorted(set(orders)))
     budget = _budget_defect(ledger.sig, ledger.extension_index)
-    return list(rows[: bisect_left(defects, budget)])
+    # A key is an integer, so key >= budget * scale exactly when key >= its ceiling.
+    return list(rows[: bisect_left(keys, math.ceil(budget * scale))])
 
 
 # The census at orders <= 12 meets 104 distinct order sets.
 @lru_cache(maxsize=128, typed=True)
 def _candidate_table(
     *orders: int,
-) -> tuple[tuple[Fraction, ...], tuple[tuple[TurnoverSignature, float], ...]]:
+) -> tuple[int, tuple[int, ...], tuple[tuple[TurnoverSignature, float], ...]]:
     """Every hyperbolic signature over ``orders`` as ``(sig, area)`` rows,
-    sorted by exact defect -chi, ties by signature, with the parallel tuple
-    of defects.  Typed, so an order ``2.0`` is not read as ``2`` and still
-    reaches ``TurnoverSignature``, which rejects it."""
-    ranked = sorted((-sig.chi_fraction(), sig) for sig in hyperbolic_signatures(orders))
-    defects = tuple(defect for defect, _ in ranked)
-    return defects, tuple((sig, turnover_area(sig)) for _, sig in ranked)
+    sorted by exact defect -chi, ties by signature.  The defects are kept as
+    the integer keys ``defect * scale``, with ``scale`` the lcm of the
+    orders, and the area is ``turnover_area``'s 2 pi float(defect).  Typed,
+    so an order ``2.0`` is not read as ``2`` and still reaches
+    ``TurnoverSignature``, which rejects it before the lcm is taken."""
+    sigs = list(hyperbolic_signatures(orders))
+    scale = math.lcm(*orders)
+    ranked = []
+    for sig in sigs:
+        defect = -sig.chi_fraction()
+        ranked.append((defect.numerator * (scale // defect.denominator), sig.orders,
+                       sig, 2.0 * math.pi * float(defect)))
+    ranked.sort()
+    keys = tuple(key for key, *_ in ranked)
+    return scale, keys, tuple((sig, area) for *_, sig, area in ranked)
 
 
 @dataclass(frozen=True)
@@ -209,10 +221,27 @@ def miyamoto_case_scan(
 ) -> list[CaseRecord]:
     """The verdict of every case of ``simplices.boundary_cases(boundary)``
     against the ledger; the cases and bounds do not depend on it."""
+    cap = ledger.upper_bound_with_boundary
+    # The strict test of ``_verdict``, picking one of the shared records.
     return [
-        CaseRecord(case, bound, _verdict(ledger, bound))
-        for case, bound in boundary_cases(boundary)
+        excluded if bound > cap else survives
+        for bound, excluded, survives in _case_records(boundary)
     ]
+
+
+# The census at orders <= 12 meets 946 distinct boundaries.
+@lru_cache(maxsize=4096)
+def _case_records(
+    boundary: TurnoverSignature,
+) -> tuple[tuple[float, CaseRecord, CaseRecord], ...]:
+    """``(bound, Excluded record, Survives record)`` for each case of
+    ``simplices.boundary_cases(boundary)``, built once per boundary.  The
+    records are frozen, so every ledger's scan shares them."""
+    return tuple(
+        (bound, CaseRecord(case, bound, Verdict.EXCLUDED),
+         CaseRecord(case, bound, Verdict.SURVIVES))
+        for case, bound in boundary_cases(boundary)
+    )
 
 
 def order4_refinement(
@@ -252,6 +281,8 @@ def exclusion_by_volume(
     means the stated volume exceeds the cap, a contradiction.
     """
     if not (orbifold_volume > 0.0 and math.isfinite(orbifold_volume)):
+        if math.isnan(orbifold_volume):
+            raise DomainError("orbifold volume is not a number (nan)")
         raise DomainError(f"orbifold volume must be positive, got {orbifold_volume}")
     ledger = make_ledger(sig)
     cap = (ledger.upper_bound_with_boundary if has_embedded_turnovers

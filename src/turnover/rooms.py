@@ -79,6 +79,8 @@ class PolarDisk:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
+            if math.isnan(self.radius):
+                raise DomainError("disk radius is not a number (nan)")
             raise DomainError(f"disk radius must be positive, got {self.radius}")
 
     @property
@@ -275,8 +277,12 @@ def nice_height(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> flo
     Solves sinh 2H + 2H = 4 V / A_F.
     """
     if not (V >= 0.0 and math.isfinite(V)):
+        if math.isnan(V):
+            raise DomainError("volume is not a number (nan)")
         raise DomainError(f"volume must be >= 0, got {V}")
     if not (A_F > 0.0 and math.isfinite(A_F)):
+        if math.isnan(A_F):
+            raise DomainError("floor area is not a number (nan)")
         raise DomainError(f"floor area must be positive, got {A_F}")
     if V == 0.0:
         return 0.0
@@ -312,6 +318,8 @@ def nice_room_ratio(H: float) -> float:
     nor lose the limit value 2.  The minimum over H > 0 is 2/constant_H().
     """
     if not (H > 0.0 and math.isfinite(H)):
+        if math.isnan(H):
+            raise DomainError("height is not a number (nan)")
         raise DomainError(f"height must be positive, got {H}")
     u = math.exp(-2.0 * H)
     return (1.0 + u) ** 2 / (0.5 * (1.0 - u * u) + 2.0 * H * u)

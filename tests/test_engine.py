@@ -214,6 +214,16 @@ class TestBoundaryCandidates:
         assert rows[2] == [(2, 3, 7), (2, 3, 8)]
         assert rows[1][: len(rows[2])] == rows[2] and len(rows[1]) > len(rows[2])
 
+    def test_order_sets_share_one_signature_object(self):
+        """Signatures are built once per process: the tables of two order
+        sets that both hold (2,3,7) hand out the same object."""
+        ledger = make_ledger(sig(7, 7, 7), 1)
+        rows = [
+            {s.orders: s for s, _ in boundary_candidates(ledger, orders)}
+            for orders in ([2, 3, 7], [2, 3, 7, 8])
+        ]
+        assert rows[0][(2, 3, 7)] is rows[1][(2, 3, 7)]
+
     @settings(max_examples=150, deadline=None)
     @given(
         orders=st.tuples(*[st.integers(min_value=2, max_value=30)] * 3).filter(
@@ -281,6 +291,20 @@ class TestCaseScan:
         )
         records = miyamoto_case_scan(ledger, sig(3, 3, 4))
         assert all(rec.verdict is Verdict.SURVIVES for rec in records)
+
+    def test_a_bound_equal_to_the_cap_survives(self):
+        """Excluded needs the bound strictly above the ledger's cap: at a
+        cap equal to the bound the case survives, one step below it the
+        case is Excluded."""
+        ledger = make_ledger(sig(2, 4, 5), 1)
+        boundary = sig(3, 3, 4)
+        for index, rec in enumerate(miyamoto_case_scan(ledger, boundary)):
+            for cap, verdict in (
+                (rec.lower_bound, Verdict.SURVIVES),
+                (math.nextafter(rec.lower_bound, 0.0), Verdict.EXCLUDED),
+            ):
+                tied = dataclasses.replace(ledger, upper_bound_with_boundary=cap)
+                assert miyamoto_case_scan(tied, boundary)[index].verdict is verdict
 
     @pytest.mark.parametrize("boundary", [(3, 3, 3), (2, 3, 6)])
     def test_rejects_euclidean_boundary(self, boundary):
@@ -385,6 +409,10 @@ class TestVolumeExclusion:
     def test_validation(self):
         with pytest.raises(DomainError):
             exclusion_by_volume(0.0, sig(2, 4, 5), False)
+
+    def test_nan_volume_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match=r"orbifold volume is not a number \(nan\)"):
+            exclusion_by_volume(math.nan, sig(2, 4, 5), False)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -67,6 +67,10 @@ class TestFloors:
         with pytest.raises(DomainError):
             PolarDisk(radius)
 
+    def test_nan_radius_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match=r"disk radius is not a number \(nan\)"):
+            PolarDisk(math.nan)
+
     def test_triangle_rejects_touching_circle(self):
         with pytest.raises(DomainError):
             ProjectiveTriangle(((1.0, 0.0), (0.0, 0.5), (-0.5, 0.0)))
@@ -194,6 +198,12 @@ class TestNiceRoom:
         with pytest.raises(DomainError):
             nice_height(1.0, 0.0)
 
+    def test_nan_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match=r"^volume is not a number \(nan\)"):
+            nice_height(math.nan, 1.0)
+        with pytest.raises(DomainError, match=r"^floor area is not a number \(nan\)"):
+            nice_height(1.0, math.nan)
+
 
 class TestConstantHAndRatio:
     def test_constant_value(self):
@@ -237,6 +247,10 @@ class TestConstantHAndRatio:
     def test_ratio_domain(self):
         with pytest.raises(DomainError):
             nice_room_ratio(0.0)
+
+    def test_ratio_nan_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match=r"^height is not a number \(nan\)"):
+            nice_room_ratio(math.nan)
 
 
 class TestIsoperimetricCheck:
