@@ -5,11 +5,13 @@ Walks the full exclusion pipeline for the immersed (2,4,5) turnover (both
 extension indices), the conjectural (2,4,6) case, the prism case (2,4,7),
 and the volume-cap verdicts against the registry orbifolds.  Output is a
 plain-text report; pass --json for the raw payloads.  Each analysis is
-printed by ``turnover analyze`` itself, in the CLI's text format.
+printed by ``turnover analyze`` itself, in the CLI's text format.  Exits 1
+when a registry entry contradicts its volume cap.
 """
 
 import argparse
 import json
+import sys
 
 from turnover.cli import main as turnover_main
 from turnover.engine import (
@@ -45,15 +47,19 @@ def show_volume_verdicts():
 
 
 def show_registry_consistency():
+    """Print each registry entry against its cap; True when every one is below."""
     print("== registry consistency against the volume caps")
+    consistent = True
     for entry in registry():
         for sig in entry.known_immersed:
             ledger = make_ledger(sig, entry.extension_index)
             cap = (ledger.upper_bound_with_boundary if entry.has_embedded
                    else ledger.upper_bound_no_boundary)
-            flag = "ok" if entry.volume < cap else "CONTRADICTION"
+            ok = entry.volume < cap
+            consistent &= ok
             print(f"   {entry.name}: volume {entry.volume:.6f} < cap {cap:.6f}"
-                  f" for immersed {sig} [{flag}]")
+                  f" for immersed {sig} [{'ok' if ok else 'CONTRADICTION'}]")
+    return consistent
 
 
 def main():
@@ -71,18 +77,19 @@ def main():
     if args.json:
         payload = [analyze(sig, ext).to_dict() for sig, ext in cases]
         print(json.dumps(payload, indent=2))
-        return
+        return 0
     for sig, ext in cases:
         show_analysis(sig, ext)
         print()
     show_volume_verdicts()
     print()
-    show_registry_consistency()
+    consistent = show_registry_consistency()
     # The empty-boundary cap of the ext=2 (2,4,5) ledger is the bound the Q3
     # example sits under.
     ledger = make_ledger(TurnoverSignature(2, 4, 5), 2)
     assert ledger.upper_bound_no_boundary > registry_volume("Q3")
+    return 0 if consistent else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -76,19 +76,16 @@ def _cmd_delta(args):
 
 def _cmd_orders(args):
     sig = _signature(args)
-    universe = collars.cone_order_universe(sig)
-    refined = collars.refined_boundary_orders(sig)
     report = collars.boundary_order_report(sig)
+    universe = [row["order"] for row in report]
+    refined = [row["order"] for row in report if not row["removed"]]
     payload = {
         "signature": list(sig.orders),
-        "universe": list(universe),
-        "refined": list(refined),
+        "universe": universe,
+        "refined": refined,
         "report": report,
     }
-    text = [
-        f"universe: {list(universe)}",
-        f"refined:  {list(refined)}",
-    ]
+    text = [f"universe: {universe}", f"refined:  {refined}"]
     for row in report:
         if row["removed"]:
             fired = [m for m, hit in row["delta_exceeds_diameter"].items() if hit]

@@ -6,11 +6,15 @@ nor coincide must keep their axes at distance at least
 
     delta(n, m) = asinh( c(n, m) / (sin(pi/n) sin(pi/m)) ),
 
-where c(n, m) is a six-case piecewise constant.  For n = m >= 7 the sharper
-closed form delta_nn(n) = 2 acosh(1/(2 sin(pi/n))) applies and is strictly
-increasing, while the largest disk embedded in any hyperbolic turnover has
-radius below r_max = ln((2 + sqrt 7)/sqrt 3); comparing the two shows an
-oblique axis of order n >= 7 can only occur for n <= 9.
+where c(n, m) is a six-case piecewise constant.  For n = m >= 7 it equals
+delta_nn(n) = 2 acosh(1/(2 sin(pi/n))), since 2 cos(2 pi/n) - 1 =
+1 - 4 sin^2(pi/n), so it is strictly increasing in n, while the largest
+disk embedded in any hyperbolic turnover has radius below
+r_max = ln((2 + sqrt 7)/sqrt 3); comparing the two shows an oblique axis
+of order n >= 7 can only occur for n <= 9.
+
+Order sets are ascending tuples of ints, read off the one filter pass
+``boundary_order_report``.
 
 The containment table lists every turnover group that properly contains
 another turnover group (fourteen pattern rows, up to two integer
@@ -26,6 +30,7 @@ from itertools import count, permutations, takewhile
 
 from .errors import DomainError
 from .trig import (
+    MAX_CONE_ORDER,
     GeometryClass,
     TurnoverSignature,
     classify,
@@ -44,7 +49,6 @@ __all__ = [
     "supergroup_table",
     "supergroup_table_json",
     "supergroups",
-    "ConeOrderSet",
     "cone_order_universe",
     "refined_boundary_orders",
     "boundary_order_report",
@@ -96,10 +100,10 @@ def delta(pair: EllipticPair) -> float:
 
 
 def delta_nn(n: int) -> float:
-    """Equal-order axial bound 2 acosh(1/(2 sin(pi/n))), strictly increasing; n >= 7."""
+    """Equal-order bound delta(n, n) = 2 acosh(1/(2 sin(pi/n))), increasing; n >= 7."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 7:
         raise DomainError(f"delta_nn needs an integer n >= 7, got {n!r}")
-    return 2.0 * math.acosh(1.0 / (2.0 * math.sin(math.pi / n)))
+    return delta(EllipticPair(n, n))
 
 
 def max_injectivity_radius() -> float:
@@ -181,8 +185,11 @@ class SupergroupEntry:
         return _pattern_str(self.sub_pattern)
 
 
+_TABLE = tuple(SupergroupEntry(*row) for row in _TABLE_ROWS)
+
+
 def supergroup_table() -> tuple[SupergroupEntry, ...]:
-    return tuple(SupergroupEntry(*row) for row in _TABLE_ROWS)
+    return _TABLE
 
 
 def supergroup_table_json() -> list[dict]:
@@ -198,10 +205,12 @@ def supergroup_table_json() -> list[dict]:
     ]
 
 
-def _match_sub(pattern: tuple, sig: TurnoverSignature) -> set[tuple]:
-    """All parameter assignments making ``pattern`` a permutation of ``sig``."""
+def _match_sub(pattern: tuple, perms: set[tuple[int, ...]]) -> set[tuple]:
+    """All parameter assignments making ``pattern`` one of ``perms``, the
+    distinct permutations of a signature's orders.  Each parameter is >= 2,
+    so every instantiated order is too."""
     solutions: set[tuple] = set()
-    for perm in set(permutations(sig.orders)):
+    for perm in perms:
         env: dict[str, int] = {}
         ok = True
         for (mult, sym), value in zip(pattern, perm):
@@ -236,13 +245,11 @@ def supergroups(
     hyperbolic.
     """
     require_hyperbolic(sig)
+    perms = set(permutations(sig.orders))
     found: set[tuple[TurnoverSignature, int, bool]] = set()
-    for entry in supergroup_table():
-        for items in _match_sub(entry.sub_pattern, sig):
-            env = dict(items)
-            values = _instantiate(entry.super_pattern, env)
-            if any(v < 2 for v in values):
-                continue
+    for entry in _TABLE:
+        for items in _match_sub(entry.sub_pattern, perms):
+            values = _instantiate(entry.super_pattern, dict(items))
             try:
                 sup = TurnoverSignature(*values)
             except DomainError:
@@ -253,85 +260,63 @@ def supergroups(
     return sorted(found, key=lambda item: (item[1], item[0].orders))
 
 
-@dataclass(frozen=True)
-class ConeOrderSet:
-    """Finite ascending set of cone orders."""
-
-    orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        orders = tuple(sorted(set(self.orders)))
-        if not orders:
-            raise DomainError("cone order set is empty")
-        if any(n < 2 for n in orders):
-            raise DomainError("cone orders must be >= 2")
-        object.__setattr__(self, "orders", orders)
-
-    def __contains__(self, n: int) -> bool:
-        return n in self.orders
-
-    def __iter__(self):
-        return iter(self.orders)
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-
 # {2, ..., 9}: no oblique-axis bound below 7, and delta_nn increases from 7.
 _BASE_ORDERS = tuple(range(2, 7)) + tuple(takewhile(oblique_order_admissible, count(7)))
 
 
-def cone_order_universe(sig: TurnoverSignature) -> ConeOrderSet:
+def cone_order_universe(sig: TurnoverSignature) -> tuple[int, ...]:
     """All orders {2,...,9} plus {p,q,r,2p,2q,2r} that can appear on the
-    boundary of the core containing an immersed (p,q,r) turnover."""
+    boundary of the core containing an immersed (p,q,r) turnover, ascending."""
     require_hyperbolic(sig)
-    orders = set(_BASE_ORDERS)
-    for n in sig.orders:
-        orders.add(n)
-        orders.add(2 * n)
-    return ConeOrderSet(tuple(orders))
+    return tuple(sorted({*_BASE_ORDERS, *sig.orders, *(2 * n for n in sig.orders)}))
 
 
 def boundary_order_report(sig: TurnoverSignature) -> list[dict]:
-    """Per-order view of which filter fired; for inspection and the CLI."""
+    """One row per order of ``cone_order_universe``, ascending, saying which
+    boundary-order filter fired; ``refined_boundary_orders`` keeps the rows
+    not ``removed``.
+
+    An order n >= 6 is removed when (a) the collar bound delta(n, m) for
+    some vertex order m of ``sig`` exceeds the triangle diameter, so an
+    order-n axis crossing the turnover plane would violate discreteness,
+    and (b) n is not a cone order of ``sig`` itself or of any containing
+    turnover group from the table (those orders arise from perpendicular
+    axes and are immune to the distance argument).  Removal requires both
+    filters to agree.  A kept doubled order above ``MAX_CONE_ORDER`` is a
+    DomainError, since no boundary signature can carry it.
+    """
     geo = triangle_geometry(sig)
     protected = set(sig.orders)
     for sup, _, _ in supergroups(sig):
         protected.update(sup.orders)
+    vertex_orders = sorted(set(sig.orders))
     rows = []
     for n in cone_order_universe(sig):
         # The distance filter only ever applies to orders >= 6.
         exceeds = (
-            {
-                m: delta(EllipticPair(n, m)) > geo.diameter
-                for m in sorted(set(sig.orders))
-            }
+            {m: delta(EllipticPair(n, m)) > geo.diameter for m in vertex_orders}
             if n >= 6
             else {}
         )
-        removable = n >= 6 and n not in protected and any(exceeds.values())
+        removed = n not in protected and any(exceeds.values())
+        if n > MAX_CONE_ORDER and not removed:
+            raise DomainError(
+                f"signature {sig} keeps the doubled boundary order {n},"
+                f" which exceeds the cone order cap {MAX_CONE_ORDER}"
+            )
         rows.append(
             {
                 "order": n,
                 "vertex_order": n in sig.orders,
                 "table_protected": n in protected,
                 "delta_exceeds_diameter": exceeds,
-                "removed": removable,
+                "removed": removed,
             }
         )
     return rows
 
 
-def refined_boundary_orders(sig: TurnoverSignature) -> ConeOrderSet:
-    """Cone orders that survive both boundary-order filters.
-
-    Starting from ``cone_order_universe``, an order n >= 6 is removed when
-    (a) the collar bound delta(n, m) for some vertex order m of ``sig``
-    exceeds the triangle diameter, so an order-n axis crossing the turnover
-    plane would violate discreteness, and (b) n is not a cone order of
-    ``sig`` itself or of any containing turnover group from the table
-    (those orders arise from perpendicular axes and are immune to the
-    distance argument).  Removal requires both filters to agree.
-    """
-    kept = [row["order"] for row in boundary_order_report(sig) if not row["removed"]]
-    return ConeOrderSet(tuple(kept))
+def refined_boundary_orders(sig: TurnoverSignature) -> tuple[int, ...]:
+    """The ascending cone orders that survive both boundary-order filters:
+    the rows of ``boundary_order_report`` not removed."""
+    return tuple(row["order"] for row in boundary_order_report(sig) if not row["removed"])

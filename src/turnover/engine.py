@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .collars import ConeOrderSet, refined_boundary_orders
+from .collars import refined_boundary_orders
 from .errors import DomainError
 from .numerics import constant_H
 from .simplices import (
@@ -128,8 +128,9 @@ class BoundLedger:
 
 def make_ledger(sig: TurnoverSignature, extension_index: int = 1) -> BoundLedger:
     require_hyperbolic(sig)
-    if extension_index not in (1, 2):
-        raise DomainError(f"extension index must be 1 or 2, got {extension_index}")
+    if (not isinstance(extension_index, int) or isinstance(extension_index, bool)
+            or extension_index not in (1, 2)):
+        raise DomainError(f"extension index must be 1 or 2, got {extension_index!r}")
     area = turnover_area(sig)
     no_boundary = area / extension_index
     pieces = _budget_defect(sig, extension_index) / MIN_BOUNDARY_PIECE_DEFECT
@@ -150,14 +151,15 @@ def _budget_defect(sig: TurnoverSignature, extension_index: int) -> Fraction:
 
 
 def boundary_candidates(
-    ledger: BoundLedger, orders: ConeOrderSet | Iterable[int]
+    ledger: BoundLedger, orders: Iterable[int]
 ) -> list[tuple[TurnoverSignature, float]]:
     """Hyperbolic signatures over ``orders`` with area strictly below budget.
 
-    ``orders`` may be any iterable of cone orders (an empty one yields an
-    empty list).  The area comparison is exact (rational angle defects), so
-    signatures that exactly exhaust the budget are excluded, never admitted
-    by a rounding accident.  Sorted by ascending area, ties by signature.
+    ``orders`` may be any iterable of cone orders, such as the tuple from
+    ``refined_boundary_orders`` (an empty one yields an empty list).  The
+    area comparison is exact (rational angle defects), so signatures that
+    exactly exhaust the budget are excluded, never admitted by a rounding
+    accident.  Sorted by ascending area, ties by signature.
     The rows are a prefix of the order set's cached candidate table, cut by
     a bisect on the budget; the list is the caller's own.
     """
@@ -380,10 +382,13 @@ def known_refinements(sig: TurnoverSignature) -> tuple[RefinementInput, ...]:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the pipeline established for one immersed signature."""
+    """Everything the pipeline established for one immersed signature.
+
+    ``admissible_orders`` is the ascending tuple from
+    ``refined_boundary_orders``."""
 
     ledger: BoundLedger
-    admissible_orders: ConeOrderSet
+    admissible_orders: tuple[int, ...]
     candidates: tuple[tuple[TurnoverSignature, float], ...]
     cases: tuple[CaseRecord, ...]
     refinements: tuple[RefinementRecord, ...]

@@ -278,6 +278,8 @@ def lobachevsky(theta: float) -> float:
     """
     theta = float(theta)
     if not (0.0 <= theta <= math.pi / 2):
+        if math.isnan(theta):
+            raise DomainError("theta is not a number (nan)")
         raise DomainError(f"theta={theta} outside [0, pi/2]")
     if theta == 0.0:
         return 0.0

@@ -78,6 +78,8 @@ THETA_MAX = math.pi / 3.0
 def _check_theta(theta: float) -> float:
     theta = float(theta)
     if not (0.0 <= theta < THETA_MAX):
+        if math.isnan(theta):
+            raise DomainError("dihedral angle is not a number (nan)")
         raise DomainError(f"dihedral angle {theta} outside [0, pi/3)")
     return theta
 

@@ -93,6 +93,11 @@ class TestOrders:
         assert payload["universe"] == list(range(2, 11))
         assert payload["refined"] == [2, 3, 4, 5]
 
+    @pytest.mark.parametrize("command", ["orders", "candidates", "analyze"])
+    def test_kept_doubled_order_above_the_cap_exits_2(self, capsys, command):
+        code, _, err = run(capsys, command, "600000", "600000", "600000")
+        assert code == 2 and "doubled boundary order 1200000" in err
+
 
 class TestSupergroups:
     def test_table(self, capsys):

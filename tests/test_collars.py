@@ -5,13 +5,13 @@ self-test; candidate order sets are pinned against the worked cases.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from turnover.collars import (
-    ConeOrderSet,
     EllipticPair,
     boundary_order_report,
     c_bound,
@@ -35,6 +35,23 @@ DELTA_5_5 = 0.7361750877628936
 DELTA_4_5 = 0.6268696629061778
 DELTA_NN_7 = 1.0905496635070862
 R_MAX = 0.9866469610448341
+
+
+def signatures_with_defect(defect: Fraction) -> list[tuple[int, int, int]]:
+    """Every (p, q, r), p <= q <= r, with 1/p + 1/q + 1/r = 1 - defect,
+    found by an exact search: p <= 3/(1 - defect), q <= 2/(rest after p),
+    and r is then fixed."""
+    total = 1 - defect
+    found = []
+    for p in range(2, math.floor(3 / total) + 1):
+        rest = total - Fraction(1, p)
+        if rest <= 0:
+            continue
+        for q in range(max(p, math.floor(1 / rest) + 1), math.floor(2 / rest) + 1):
+            last = rest - Fraction(1, q)
+            if last.numerator == 1 and last.denominator >= q:
+                found.append((p, q, last.denominator))
+    return found
 
 
 class TestEllipticPair:
@@ -183,6 +200,25 @@ class TestSupergroups:
     def test_237_is_maximal(self):
         assert supergroups(TurnoverSignature(2, 3, 7)) == []
 
+    @pytest.mark.parametrize(
+        "orders", [(2, 4, 5), (2, 3, 7), (2, 3, 8), (2, 3, 9), (2, 3, 10), (2, 3, 11)]
+    )
+    def test_settled_signatures_are_maximal_by_area_alone(self, orders):
+        """A proper supergroup of index i has defect d/i, and no hyperbolic
+        signature has defect d/i for i >= 2; so the six signatures with a
+        settled verdict are maximal without the containment table."""
+        sig = TurnoverSignature(*orders)
+        defect = -sig.chi_fraction()
+        # No hyperbolic defect is below 1/42, the (2,3,7) one.
+        for index in range(2, math.floor(42 * defect) + 1):
+            assert signatures_with_defect(defect / index) == []
+        assert supergroups(sig) == []
+
+    def test_defect_search_finds_known_signatures(self):
+        assert signatures_with_defect(Fraction(1, 42)) == [(2, 3, 7)]
+        assert signatures_with_defect(Fraction(1, 20)) == [(2, 4, 5)]
+        assert signatures_with_defect(Fraction(1, 12)) == [(2, 3, 12), (2, 4, 6), (3, 3, 4)]
+
     def test_area_ratio_on_instantiations(self):
         for base in [(7, 7, 7), (4, 8, 8), (4, 4, 5), (3, 3, 7), (5, 5, 5), (9, 9, 9)]:
             sig = TurnoverSignature(*base)
@@ -232,13 +268,6 @@ class TestConeOrderSets:
         assert by_order[7]["delta_exceeds_diameter"][2] is False
         assert by_order[5]["vertex_order"] is True
         assert by_order[5]["removed"] is False
-
-    def test_cone_order_set_validation(self):
-        with pytest.raises(DomainError):
-            ConeOrderSet(())
-        with pytest.raises(DomainError):
-            ConeOrderSet((1, 3))
-        assert list(ConeOrderSet((5, 3, 3))) == [3, 5]
 
     @given(
         orders=st.tuples(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from turnover.collars import ConeOrderSet, cone_order_universe, refined_boundary_orders
+from turnover.collars import cone_order_universe, refined_boundary_orders
 from turnover.engine import (
     Conclusion,
     RefinementInput,
@@ -134,6 +134,13 @@ class TestLedger:
         with pytest.raises(DomainError):
             make_ledger(sig(2, 4, 5), 3)
 
+    @pytest.mark.parametrize("ext", [True, 1.0, 2.0])
+    def test_extension_index_must_be_an_int(self, ext):
+        """A bool or a float equal to 1 or 2 is no extension index; a float
+        one would make the budget an inexact float."""
+        with pytest.raises(DomainError, match="extension index must be 1 or 2"):
+            make_ledger(sig(2, 4, 5), ext)
+
 
 class TestBoundaryCandidates:
     def test_245_worked_case(self):
@@ -162,13 +169,13 @@ class TestBoundaryCandidates:
     def test_exact_budget_is_excluded(self):
         # (2,5,5) has area exactly the two-sided budget of (2,4,5) at ext 1.
         ledger = make_ledger(sig(2, 4, 5), 1)
-        rows = boundary_candidates(ledger, ConeOrderSet((2, 3, 4, 5)))
+        rows = boundary_candidates(ledger, (2, 3, 4, 5))
         assert (2, 5, 5) not in [s.orders for s, _ in rows]
 
     def test_superset_monotonicity(self):
         ledger = make_ledger(sig(2, 4, 5), 1)
-        small = boundary_candidates(ledger, ConeOrderSet((2, 3, 4)))
-        large = boundary_candidates(ledger, ConeOrderSet((2, 3, 4, 5)))
+        small = boundary_candidates(ledger, (2, 3, 4))
+        large = boundary_candidates(ledger, (2, 3, 4, 5))
         assert {s.orders for s, _ in small} <= {s.orders for s, _ in large}
 
     def test_areas_below_budget(self):
@@ -204,7 +211,7 @@ class TestBoundaryCandidates:
 
     def test_one_order_set_two_budgets(self):
         """One cached table, cut at the ext 1 and the ext 2 budget of (2,4,5)."""
-        orders = ConeOrderSet(tuple(range(2, 13)))
+        orders = tuple(range(2, 13))
         rows = {}
         for ext in (1, 2):
             ledger = make_ledger(sig(2, 4, 5), ext)
@@ -471,6 +478,36 @@ class TestAnalyze:
         report = analyze(sig(2, 4, 7), 2)
         assert report.conclusion is Conclusion.CANDIDATES_REMAIN
         assert (2, 3, 7) in [s.orders for s, _ in report.candidates]
+
+    def test_the_order_filters_carry_five_verdicts(self, monkeypatch):
+        """Without the boundary-order filters five of the seven settled
+        verdicts are lost; (2,3,7) and (2,3,8) at ext 2 settle on area alone."""
+        carried = [((2, 4, 5), 1), ((2, 4, 5), 2)] + [((2, 3, r), 2) for r in (9, 10, 11)]
+        by_area = [((2, 3, 7), 2), ((2, 3, 8), 2)]
+        for orders, ext in carried + by_area:
+            assert analyze(sig(*orders), ext).conclusion is Conclusion.NO_EMBEDDED_TURNOVERS
+        monkeypatch.setattr("turnover.engine.refined_boundary_orders", cone_order_universe)
+        for orders, ext in carried:
+            assert analyze(sig(*orders), ext).conclusion is Conclusion.CANDIDATES_REMAIN
+        for orders, ext in by_area:
+            assert analyze(sig(*orders), ext).conclusion is Conclusion.NO_EMBEDDED_TURNOVERS
+
+    def test_doubled_order_above_the_cap_is_named(self):
+        """(600000,600000,600000) keeps 2r = 1200000, which no boundary
+        signature can carry; the error names it and the cap."""
+        with pytest.raises(DomainError) as info:
+            analyze(sig(600000, 600000, 600000))
+        message = str(info.value)
+        assert "(600000,600000,600000)" in message
+        assert "1200000" in message and "1000000" in message
+
+    def test_doubled_order_removed_by_the_filter_is_no_error(self):
+        report = analyze(sig(2, 3, 600000))
+        assert 1200000 not in report.admissible_orders
+
+    def test_doubled_order_at_the_cap_is_kept(self):
+        report = analyze(sig(500000, 500000, 500000), 2)
+        assert report.admissible_orders[-1] == 1000000
 
     def test_report_json_schema(self):
         payload = analyze(sig(2, 4, 5), 1).to_dict()

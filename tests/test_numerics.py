@@ -218,6 +218,10 @@ class TestLobachevsky:
         with pytest.raises(DomainError):
             lobachevsky(theta)
 
+    def test_nan_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match=r"theta is not a number \(nan\)"):
+            lobachevsky(math.nan)
+
     def test_matches_clausen_on_grid(self):
         """1e-15 absolute against Cl_2(2 theta) / 2 at 30 digits on [0, pi/2]."""
         with mpmath.workdps(30):

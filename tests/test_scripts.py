@@ -1,13 +1,16 @@
 """Tests for the reproduction script under ``scripts/``, run as a user runs
 it: in a fresh interpreter."""
 
+import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import turnover
+from turnover import engine
 from turnover.engine import analyze, registry
 from turnover.trig import TurnoverSignature
 
@@ -42,3 +45,16 @@ def test_reproduce_verdicts_text_confirms_registry_caps():
     assert len(ok_lines) == len(expected)
     for (name, immersed), line in zip(expected, ok_lines):
         assert line.startswith(f"{name}: ") and f"for immersed {immersed} [ok]" in line
+
+
+def test_reproduce_verdicts_exits_1_on_a_contradiction(monkeypatch, capsys):
+    """An entry above its cap is flagged and fails the run."""
+    patched = tuple(
+        dataclasses.replace(entry, volume=100.0) if entry.name == "O8" else entry
+        for entry in registry()
+    )
+    monkeypatch.setattr(engine, "_REGISTRY", patched)
+    monkeypatch.setattr(sys, "argv", ["reproduce_verdicts.py"])
+    script = runpy.run_path(str(ROOT / "scripts" / "reproduce_verdicts.py"))
+    assert script["main"]() == 1
+    assert "[CONTRADICTION]" in capsys.readouterr().out

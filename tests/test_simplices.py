@@ -71,6 +71,10 @@ class TestEdgeAngle:
         with pytest.raises(DomainError):
             edge_from_angle(theta)
 
+    def test_nan_angle_is_named_not_a_number(self):
+        with pytest.raises(DomainError, match=r"dihedral angle is not a number \(nan\)"):
+            edge_from_angle(math.nan)
+
     def test_angle_from_edge_domain(self):
         with pytest.raises(DomainError):
             angle_from_edge(0.0)
