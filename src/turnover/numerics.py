@@ -15,9 +15,12 @@ and failure modes are uniform.  The workhorses are
   source, in pure Python (only ``rooms`` imports numpy), and ``_converge``
   is the one adaptive loop, raising the order through ``_NODE_COUNTS`` until
   two estimates agree.  ``integrate`` and the room rules are estimates it
-  runs; ``integrate`` grades its nodes toward both ends, so log singularities
-  such as ``-log(2 sin u)`` at 0 need no probing.  ``_fixed_rule`` is one
-  fixed 20-node rule for analytic integrands on [0, b].
+  runs.  An estimate is a tuple, so one node evaluation per order can feed
+  several integrals: each room check integrates its two quantities
+  together, and ``integrate`` is a 1-tuple.  ``integrate`` grades its nodes
+  toward both ends, so log singularities such as ``-log(2 sin u)`` at 0
+  need no probing.  ``_fixed_rule`` is one fixed 20-node rule for analytic
+  integrands on [0, b].
 
 ``lobachevsky`` evaluates the function
 
@@ -197,19 +200,31 @@ def _leggauss(n: int) -> tuple[tuple[float, float], ...]:
     return tuple((-x, w) for x, w in pairs) + tuple(pairs[: n // 2][::-1])
 
 
-def _converge(estimate: Callable[[int], float], tol: Tolerance, what: str) -> float:
-    """Run ``estimate(n)`` over ``_NODE_COUNTS`` until two consecutive
-    estimates agree to ``tol``; return the later one.  ``what`` names the
-    integrand and its domain in the ``ConvergenceError``."""
-    previous = residual = math.nan
+def _converge(
+    estimate: Callable[[int], tuple[float, ...]], tol: Tolerance, what: tuple[str, ...]
+) -> tuple[float, ...]:
+    """Run ``estimate(n)`` over ``_NODE_COUNTS``; it returns one estimate per
+    quantity, all from the same order-``n`` nodes.  Each quantity keeps the
+    first estimate that agrees with its predecessor to ``tol``, the value a
+    run on that quantity alone would return, and the loop ends once every
+    quantity has one.  ``what[i]`` names quantity ``i``'s integrand and
+    domain in the ``ConvergenceError``, which names each one left over."""
+    done: list[float | None] = [None] * len(what)
+    previous = residuals = (math.nan,) * len(what)
     for n in _NODE_COUNTS:
-        total = estimate(n)
-        residual = abs(total - previous)
-        if residual <= tol.bound(total):
-            return total
-        previous = total
-    raise ConvergenceError(f"{what} did not converge in {len(_NODE_COUNTS)} orders "
-                           f"(up to {_NODE_COUNTS[-1]} nodes): residual {residual:.3g}")
+        totals = estimate(n)
+        residuals = tuple(abs(total - last) for total, last in zip(totals, previous))
+        for i, (total, residual) in enumerate(zip(totals, residuals)):
+            if done[i] is None and residual <= tol.bound(total):
+                done[i] = total
+        if None not in done:
+            return tuple(done)
+        previous = totals
+    raise ConvergenceError("; ".join(
+        f"{name} did not converge in {len(_NODE_COUNTS)} orders "
+        f"(up to {_NODE_COUNTS[-1]} nodes): residual {residual:.3g}"
+        for name, value, residual in zip(what, done, residuals) if value is None
+    ))
 
 
 @lru_cache(maxsize=len(_NODE_COUNTS))
@@ -247,12 +262,12 @@ def integrate(
         return -integrate(f, b, a, tol)
     width = b - a
 
-    def estimate(n: int) -> float:
+    def estimate(n: int) -> tuple[float]:
         points = ((x, w) for s, w in _graded_rule(n)
                   for x in (a + width * s, b - width * s))
-        return width * sum(w * f(x) for x, w in points if a < x < b)
+        return (width * sum(w * f(x) for x, w in points if a < x < b),)
 
-    return _converge(estimate, tol, f"integral of {_name(f)} on [{a}, {b}]")
+    return _converge(estimate, tol, (f"integral of {_name(f)} on [{a}, {b}]",))[0]
 
 
 def _fixed_rule(f: Callable[[float], float], b: float) -> float:

@@ -37,18 +37,32 @@ module imports numpy.  A ceiling supplies its height and its exact
 gradient, both evaluated on numpy arrays of (r, theta) nodes; there is no
 finite-difference fallback.  Monte Carlo is only a test oracle, never used
 here.
+
+One node evaluation per order feeds both integrals of a check.
+``isoperimetric_check`` calls ``height`` and ``gradient`` once per order,
+takes sinh r once, and integrates the volume and area densities together;
+a density constant in theta is broadcast to the (n, 2n) grid only at the
+end.  ``cusp_prism_check`` builds the collapsed nodes and the gap
+1 - x^2 - y^2 once per order for both of its integrands.  ``_converge``
+gives each quantity the estimate at which it alone converged, so
+``room_volume`` and ``ceiling_area``, which integrate the same density
+functions one at a time, return the same bits as the fused check.  A
+ceiling too tall for these quantities to be floats (a constant one over
+the unit-radius disk from a height of about 177) is a ``DomainError``
+naming its height.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InequalityViolation
+from .errors import DomainError, InequalityViolation
 from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, constant_H, find_root
 from .numerics import _NODE_COUNTS, _converge, _leggauss
 
@@ -88,11 +102,6 @@ class PolarDisk:
         return 2.0 * math.pi * (math.cosh(self.radius) - 1.0)
 
 
-def _projective_area(x, y):
-    """Area element (1 - x^2 - y^2)^(-3/2) of the projective model."""
-    return (1.0 - x * x - y * y) ** -1.5
-
-
 @dataclass(frozen=True)
 class ProjectiveTriangle:
     """Triangle with vertices strictly inside the unit disk (projective model)."""
@@ -126,8 +135,8 @@ class CeilingFunction:
 
     ``height(r, theta)`` returns g and ``gradient(r, theta)`` returns the
     pair (g_r, g_theta).  Both must accept numpy arrays; they may return
-    scalars or arrays of any broadcastable shape, because ``heights`` and
-    ``gradients`` broadcast what they return to the shape of (r, theta).
+    scalars or arrays of any shape that broadcasts against (r, theta),
+    because the quadratures broadcast only the densities built from them.
     """
 
     height: Callable
@@ -141,19 +150,6 @@ class CeilingFunction:
             raise DomainError(f"constant ceiling height must be finite and >= 0, got {h}")
         return CeilingFunction(height=lambda r, theta: h,
                                gradient=lambda r, theta: (0.0, 0.0))
-
-    def heights(self, r, theta) -> np.ndarray:
-        out = np.asarray(self.height(r, theta), dtype=float)
-        shape = np.broadcast_shapes(np.shape(r), np.shape(theta), out.shape)
-        return np.broadcast_to(out, shape)
-
-    def gradients(self, r, theta) -> tuple[np.ndarray, np.ndarray]:
-        shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
-        gr, gt = self.gradient(r, theta)
-        return (
-            np.broadcast_to(np.asarray(gr, dtype=float), shape),
-            np.broadcast_to(np.asarray(gt, dtype=float), shape),
-        )
 
 
 @dataclass(frozen=True)
@@ -189,45 +185,67 @@ def _unit_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _disk_quadrature(integrand: Callable, radius: float, tol: Tolerance) -> float:
-    """Integrate ``integrand(r, theta)`` over [0, radius] x [0, 2 pi].
+@lru_cache(maxsize=len(_NODE_COUNTS))
+def _midpoint_angles(n: int) -> np.ndarray:
+    """The 2n periodic midpoint angles on [0, 2 pi] as a read-only row."""
+    m = 2 * n
+    theta = ((np.arange(m) + 0.5) * (2.0 * math.pi / m))[None, :]
+    theta.flags.writeable = False
+    return theta
 
-    The integrand must already include every metric factor.  Gauss panels in
+
+def _disk_grid(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Order-``n`` disk nodes: Gauss radii as a column, 2n angles as a row."""
+    return radius * _unit_nodes(n)[0][:, None], _midpoint_angles(n)
+
+
+def _disk_quadrature(
+    densities: Callable, radius: float, tol: Tolerance, what: tuple[str, ...]
+) -> tuple[float, ...]:
+    """Integrate each of ``densities(r, theta)`` over [0, radius] x [0, 2 pi].
+
+    ``densities`` returns one array per quantity, each broadcastable to the
+    (n, 2n) node grid and already including every metric factor, so one
+    evaluation of the nodes per order feeds every integral.  Gauss panels in
     r, periodic midpoints in theta, orders raised by ``_converge``.
     """
 
-    def estimate(n: int) -> float:
-        u, w = _unit_nodes(n)
+    def estimate(n: int) -> tuple[float, ...]:
+        _, w = _unit_nodes(n)
         m = 2 * n
-        theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-        values = integrand(radius * u[:, None], theta[None, :])
-        return float((2.0 * math.pi / m) * radius * w @ values.sum(axis=1))
+        weights = (2.0 * math.pi / m) * radius * w
+        totals = []
+        for values in densities(*_disk_grid(n, radius)):
+            if np.shape(values) != (n, m):  # a density constant in theta
+                values = np.broadcast_to(values, (n, m))
+            totals.append(float(weights @ values.sum(axis=1)))
+        return tuple(totals)
 
-    return _converge(estimate, tol, f"disk quadrature on [0, {radius}] x [0, 2 pi]")
+    return _converge(estimate, tol, what)
 
 
 def _triangle_quadrature(
-    point_fn: Callable, tri: ProjectiveTriangle, tol: Tolerance
-) -> float:
-    """Integrate ``point_fn(x, y)`` dx dy over the triangle.
+    densities: Callable, tri: ProjectiveTriangle, tol: Tolerance, what: tuple[str, ...]
+) -> tuple[float, ...]:
+    """Integrate each of ``densities(x, y)`` dx dy over the triangle.
 
     Uses the square-to-triangle collapse P(u, v) = A + u ((B-A) + v (C-B))
-    on [0,1]^2, whose Jacobian is u * |cross(B-A, C-B)|.
+    on [0,1]^2, whose Jacobian is u * |cross(B-A, C-B)|; the collapsed
+    nodes are built once per order for every density.
     """
     (ax, ay), (bx, by), (cx, cy) = tri.vertices
     e1 = (bx - ax, by - ay)
     e2 = (cx - bx, cy - by)
     jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
 
-    def estimate(n: int) -> float:
+    def estimate(n: int) -> tuple[float, ...]:
         u, w = _unit_nodes(n)
         U, V = u[:, None], u[None, :]
         x = ax + U * (e1[0] + V * e2[0])
         y = ay + U * (e1[1] + V * e2[1])
-        values = point_fn(x, y) * U * jac
-        return float(w @ values @ w)
+        return tuple(float(w @ (values * U * jac) @ w) for values in densities(x, y))
 
-    return _converge(estimate, tol, f"triangle quadrature over {tri.vertices}")
+    return _converge(estimate, tol, what)
 
 
 def _require_disk(floor: FloorRegion) -> PolarDisk:
@@ -239,6 +257,31 @@ def _require_disk(floor: FloorRegion) -> PolarDisk:
     )
 
 
+# --- room densities: each written once, shared by the fused and lone integrals
+
+
+def _volume_density(g, sinh_r):
+    """(sinh 2g + 2g)/4 dA of the room under height g."""
+    return 0.25 * (np.sinh(2.0 * g) + 2.0 * g) * sinh_r
+
+
+def _area_density(g, g_r, g_t, sinh_r):
+    """cosh g sqrt((g_r^2 + cosh^2 g) sinh^2 r + g_theta^2) of the ceiling's graph."""
+    cg = np.cosh(g)
+    return cg * np.sqrt((g_r**2 + cg**2) * sinh_r**2 + g_t**2)
+
+
+def _prism_densities(x, y):
+    """1/gap and gap^(-3/2), gap = 1 - x^2 - y^2: the cusp prism's volume
+    (twice over) and the projective area element."""
+    gap = 1.0 - x * x - y * y
+    return 1.0 / gap, gap ** -1.5
+
+
+def _disk_what(quantity: str, radius: float) -> str:
+    return f"disk quadrature of the {quantity} on [0, {radius}] x [0, 2 pi]"
+
+
 # --- room operations ---------------------------------------------------------
 
 
@@ -248,11 +291,12 @@ def room_volume(
     """Volume Int_F (sinh 2g + 2g)/4 dA of the room under ``ceiling``."""
     disk = _require_disk(floor)
 
-    def integrand(r, theta):
-        g = ceiling.heights(r, theta)
-        return 0.25 * (np.sinh(2.0 * g) + 2.0 * g) * np.sinh(r)
+    def densities(r, theta):
+        return (_volume_density(ceiling.height(r, theta), np.sinh(r)),)
 
-    return _disk_quadrature(integrand, disk.radius, tol)
+    return _disk_quadrature(
+        densities, disk.radius, tol, (_disk_what("room volume", disk.radius),)
+    )[0]
 
 
 def ceiling_area(
@@ -261,28 +305,37 @@ def ceiling_area(
     """Area of the graph of ``ceiling`` over the floor."""
     disk = _require_disk(floor)
 
-    def integrand(r, theta):
-        g = ceiling.heights(r, theta)
-        g_r, g_t = ceiling.gradients(r, theta)
-        cg = np.cosh(g)
-        radicand = (g_r**2 + cg**2) * np.sinh(r) ** 2 + g_t**2
-        return cg * np.sqrt(radicand)
+    def densities(r, theta):
+        g_r, g_t = ceiling.gradient(r, theta)
+        return (_area_density(ceiling.height(r, theta), g_r, g_t, np.sinh(r)),)
 
-    return _disk_quadrature(integrand, disk.radius, tol)
+    return _disk_quadrature(
+        densities, disk.radius, tol, (_disk_what("ceiling area", disk.radius),)
+    )[0]
+
+
+# Largest nice height tried: sinh 2H stays a float up to about 354.9.
+_MAX_HEIGHT = 0.5 * math.log(sys.float_info.max)
 
 
 def nice_height(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Height H >= 0 of the constant-ceiling room with volume V over area A_F.
 
-    Solves sinh 2H + 2H = 4 V / A_F.
+    Solves sinh 2H + 2H = 4 V / A_F.  The bracket [0, hi] doubles from
+    hi = 1 but stops at ``_MAX_HEIGHT``, where sinh 2H is still a float; a
+    right-hand side whose root lies beyond it is a ``DomainError``.
     """
     if not (V >= 0.0 and math.isfinite(V)):
         if math.isnan(V):
             raise DomainError("volume is not a number (nan)")
+        if V > 0.0:
+            raise DomainError(f"volume must be finite, got {V}")
         raise DomainError(f"volume must be >= 0, got {V}")
     if not (A_F > 0.0 and math.isfinite(A_F)):
         if math.isnan(A_F):
             raise DomainError("floor area is not a number (nan)")
+        if A_F > 0.0:
+            raise DomainError(f"floor area must be finite, got {A_F}")
         raise DomainError(f"floor area must be positive, got {A_F}")
     if V == 0.0:
         return 0.0
@@ -293,9 +346,12 @@ def nice_height(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> flo
 
     hi = 1.0
     while f(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ConvergenceError("nice height bracket expansion failed")
+        if hi == _MAX_HEIGHT:
+            raise DomainError(
+                f"nice height overflows: sinh 2H + 2H = 4 V / A_F = {rhs:.6g} needs "
+                f"H above {_MAX_HEIGHT:.6g} (volume {V}, floor area {A_F})"
+            )
+        hi = min(2.0 * hi, _MAX_HEIGHT)
     return find_root(f, Bracket(0.0, hi), tol)
 
 
@@ -308,7 +364,16 @@ def nice_ceiling_area(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) 
 
 
 def _nice_area(V: float, A_F: float, H: float) -> float:
-    return 0.5 * (A_F + math.sqrt(A_F**2 + 4.0 * (2.0 * V - H * A_F) ** 2))
+    try:
+        area = 0.5 * (A_F + math.sqrt(A_F**2 + 4.0 * (2.0 * V - H * A_F) ** 2))
+    except OverflowError:
+        area = math.inf
+    if area == math.inf:
+        raise DomainError(
+            f"nice ceiling area overflows a float at height {H:.6g} "
+            f"over floor area {A_F:.6g}"
+        )
+    return area
 
 
 def nice_room_ratio(H: float) -> float:
@@ -330,13 +395,31 @@ def isoperimetric_check(
 ) -> RoomSpec:
     """Compute V, Area(C), H, Area(S) and verify both proved inequalities.
 
+    V and Area(C) are integrated together: one ``height`` and one
+    ``gradient`` evaluation per quadrature order feed both densities.
     Raises ``InequalityViolation`` if Area(C) < Area(S) or
     V > (H*/2) Area(C) beyond tolerance; both comparisons get a tolerance
-    band because the constant ceiling attains equality.
+    band because the constant ceiling attains equality.  A ceiling too tall
+    for these quantities to be floats is a ``DomainError`` naming its height.
     """
     disk = _require_disk(floor)
-    V = room_volume(disk, ceiling, tol)
-    A_C = ceiling_area(disk, ceiling, tol)
+
+    def densities(r, theta):
+        g = ceiling.height(r, theta)
+        g_r, g_t = ceiling.gradient(r, theta)
+        sinh_r = np.sinh(r)
+        return _volume_density(g, sinh_r), _area_density(g, g_r, g_t, sinh_r)
+
+    what = (_disk_what("room volume", disk.radius), _disk_what("ceiling area", disk.radius))
+    try:
+        with np.errstate(over="raise"):
+            V, A_C = _disk_quadrature(densities, disk.radius, tol, what)
+    except FloatingPointError:
+        tallest = float(np.max(ceiling.height(*_disk_grid(_NODE_COUNTS[0], disk.radius))))
+        raise DomainError(
+            f"room integrals overflow a float: ceiling height {tallest:.6g} over "
+            f"a disk of radius {disk.radius}"
+        ) from None
     A_F = disk.area
     H_eq = nice_height(V, A_F, tol)
     A_S = _nice_area(V, A_F, H_eq)
@@ -364,15 +447,15 @@ def cusp_prism_check(
 
     Returns (volume, floor_area) with
     volume = (1/2) Int dx dy / (1 - x^2 - y^2) and
-    floor_area = Int dx dy / (1 - x^2 - y^2)^(3/2); asserts the strict
-    pointwise inequality volume < floor_area / 2.
+    floor_area = Int dx dy / (1 - x^2 - y^2)^(3/2), both integrated from one
+    set of collapsed nodes per order; asserts the strict pointwise
+    inequality volume < floor_area / 2.
     """
-
-    def inverse_gap(x, y):
-        return 1.0 / (1.0 - x * x - y * y)
-
-    volume = 0.5 * _triangle_quadrature(inverse_gap, tri, tol)
-    floor_area = _triangle_quadrature(_projective_area, tri, tol)
+    where = f"triangle quadrature over {tri.vertices}"
+    inverse_gap, floor_area = _triangle_quadrature(
+        _prism_densities, tri, tol, (f"{where} of 1/gap", f"{where} of gap^-1.5")
+    )
+    volume = 0.5 * inverse_gap
     if volume >= 0.5 * floor_area + tol.bound(volume):
         raise InequalityViolation(
             f"cusp prism volume {volume} reached half the floor area "
@@ -426,6 +509,8 @@ def isoperimetric_sweep(
     ``isoperimetric_check``; violations propagate as ``InequalityViolation``."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     specs = []
     for _ in range(count):

@@ -240,6 +240,26 @@ class TestRoomCheck:
         code, _, err = run(capsys, "room-check", "--constant", height, "--count", "1")
         assert code == 2 and f"constant ceiling height {message}" in err
 
+    def test_constant_176_keeps_its_payload(self, capsys):
+        payload = run_json(capsys, "room-check", "--constant", "176")
+        assert payload == {"count": 1, "violations": 0,
+                           "worst_margin": 9.303535670983768e+136,
+                           "records": [{"V": 3.17403585432937e+152,
+                                        "A_C": 6.348071708658741e+152,
+                                        "A_S": 6.34807170865874e+152,
+                                        "H_equiv": 175.99999999999403,
+                                        "margin": 9.303535670983768e+136}]}
+
+    @pytest.mark.parametrize("height", ["178", "400"])
+    def test_too_tall_constant_exits_2_naming_the_height(self, capsys, height):
+        code, out, err = run(capsys, "room-check", "--constant", height)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"height {height} " in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, _, err = run(capsys, "room-check", "--seed", "-1", "--count", "1")
+        assert code == 2 and "seed must be >= 0, got -1" in err
+
     def test_determinism(self, capsys):
         first = run_json(capsys, "room-check", "--seed", "9", "--count", "3")
         second = run_json(capsys, "room-check", "--seed", "9", "--count", "3")

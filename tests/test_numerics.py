@@ -21,6 +21,7 @@ from turnover.numerics import (
     _NODE_COUNTS,
     Bracket,
     Tolerance,
+    _converge,
     _leggauss,
     find_root,
     integrate,
@@ -184,6 +185,42 @@ class TestIntegrate:
         split = integrate(f, a, b) + integrate(f, b, c)
         scale = sum(abs(cc) for cc in coeffs) + abs(whole)
         assert abs(split - whole) < 1e-10 * (1.0 + scale)
+
+
+class TestConverge:
+    """Tuple estimates: each component keeps the value a lone run returns."""
+
+    @staticmethod
+    def early(n):  # agrees with itself from 16 to 24 nodes, then moves
+        return 1.5 if n < 32 else 1.0
+
+    @staticmethod
+    def late(n):  # settles at 64 nodes, so agrees first at 96
+        return 2.0 + 1.0 / n if n < 64 else 2.0
+
+    def test_each_component_keeps_its_lone_value(self):
+        orders = []
+
+        def both(n):
+            orders.append(n)
+            return self.early(n), self.late(n)
+
+        tol = Tolerance()
+        fused = _converge(both, tol, ("early", "late"))
+        lone = tuple(
+            _converge(lambda n, f=f: (f(n),), tol, (name,))[0]
+            for name, f in (("early", self.early), ("late", self.late))
+        )
+        assert fused == lone == (1.5, 2.0)
+        assert orders == list(_NODE_COUNTS[: _NODE_COUNTS.index(96) + 1])
+
+    def test_error_names_only_the_component_left_over(self):
+        with pytest.raises(ConvergenceError) as info:
+            _converge(lambda n: (self.early(n), 1.0 / n), Tolerance(), ("early", "drift"))
+        message = str(info.value)
+        assert message.startswith("drift did not converge in 9 orders")
+        assert f"residual {1.0 / 192 - 1.0 / 256:.3g}" in message
+        assert "early" not in message
 
 
 class TestGaussLegendre:

@@ -6,13 +6,14 @@ never touches the production quadrature path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from turnover import rooms
 from turnover.errors import ConvergenceError, DomainError
-from turnover.numerics import Tolerance
+from turnover.numerics import _NODE_COUNTS, Tolerance
 from turnover.rooms import (
     CeilingFunction,
     PolarDisk,
@@ -28,6 +29,7 @@ from turnover.rooms import (
     random_smooth_ceiling,
     room_volume,
 )
+from turnover.rooms import _triangle_quadrature
 
 # mpmath, 40 digits
 COTH_ROOT = 1.1996786402577338
@@ -154,12 +156,14 @@ class TestCeilingArea:
         area = ceiling_area(disk, ceiling)
 
         def no_gradient(r, t):
-            g = ceiling.heights(r, t)
+            g = ceiling.height(r, t)
             return np.cosh(g) ** 2 * np.sinh(r)
 
         from turnover.rooms import _disk_quadrature
 
-        dropped = _disk_quadrature(no_gradient, 1.0, Tolerance())
+        (dropped,) = _disk_quadrature(
+            lambda r, t: (no_gradient(r, t),), 1.0, Tolerance(), ("no-gradient area",)
+        )
         assert area >= dropped - 1e-9
 
 
@@ -197,6 +201,25 @@ class TestNiceRoom:
             nice_height(-1.0, 1.0)
         with pytest.raises(DomainError):
             nice_height(1.0, 0.0)
+
+    def test_infinity_is_named_not_finite(self):
+        with pytest.raises(DomainError, match=r"^volume must be finite, got inf"):
+            nice_height(math.inf, 1.0)
+        with pytest.raises(DomainError, match=r"^floor area must be finite, got inf"):
+            nice_height(1.0, math.inf)
+
+    def test_overflowing_right_hand_side_is_named(self):
+        # 4 V / A_F is inf; the bracket once doubled into math.sinh(1024).
+        with pytest.raises(DomainError, match=r"^nice height overflows"):
+            nice_height(1e308, 1e-10)
+        with pytest.raises(DomainError, match=r"^nice height overflows"):
+            nice_height(1e308, 1.0)
+
+    def test_height_beyond_the_doubled_bracket(self):
+        # The root lies in (256, 512), where sinh(2 * 512) is no float.
+        H = nice_height(1e250, 1.0)
+        assert 256.0 < H < 355.0
+        assert math.sinh(2.0 * H) + 2.0 * H == pytest.approx(4e250, rel=1e-9)
 
     def test_nan_is_named_not_a_number(self):
         with pytest.raises(DomainError, match=r"^volume is not a number \(nan\)"):
@@ -283,6 +306,23 @@ class TestIsoperimetricCheck:
         with pytest.raises(DomainError):
             isoperimetric_sweep(seed=1, count=0)
 
+    def test_negative_seed_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            isoperimetric_sweep(seed=-1, count=1)
+
+    @pytest.mark.parametrize("height", [178.0, 400.0])
+    def test_too_tall_constant_ceiling_names_its_height(self, height):
+        # 178 once overflowed the nice-area squares, 400 the volume density.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"height {height:g} "):
+                isoperimetric_check(PolarDisk(1.0), CeilingFunction.constant(height))
+
+    def test_nice_area_that_overflows_is_not_returned(self):
+        # Over a radius-3 disk, A_S once came back inf with margin -inf.
+        with pytest.raises(DomainError, match=r"nice ceiling area overflows"):
+            isoperimetric_check(PolarDisk(3.0), CeilingFunction.constant(176.0))
+
     @pytest.mark.parametrize("seed, count", [(34, 1), (21, 2), (16, 4)])
     def test_sweeps_converge_at_default_tol(self, seed, count):
         # These draws raised ConvergenceError under a finite-difference gradient.
@@ -306,9 +346,9 @@ class TestIsoperimetricCheck:
         step = 1e-6
         for _ in range(10):
             ceiling = random_smooth_ceiling(rng)
-            g_r, g_t = ceiling.gradients(r, t)
-            fd_r = (ceiling.heights(r + step, t) - ceiling.heights(r - step, t)) / (2 * step)
-            fd_t = (ceiling.heights(r, t + step) - ceiling.heights(r, t - step)) / (2 * step)
+            g_r, g_t = ceiling.gradient(r, t)
+            fd_r = (ceiling.height(r + step, t) - ceiling.height(r - step, t)) / (2 * step)
+            fd_t = (ceiling.height(r, t + step) - ceiling.height(r, t - step)) / (2 * step)
             np.testing.assert_allclose(g_r, fd_r, atol=1e-8)
             np.testing.assert_allclose(g_t, fd_t, atol=1e-8)
 
@@ -318,9 +358,66 @@ class TestIsoperimetricCheck:
         t = np.linspace(0.0, 2.0 * math.pi, 40)
         for _ in range(25):
             ceiling = random_smooth_ceiling(rng)
-            values = ceiling.heights(r[:, None], t[None, :])
+            values = ceiling.height(r[:, None], t[None, :])
             assert float(values.min()) > 0.0
             assert float(values.max()) < 3.0
+
+
+def counting_ceiling(ceiling):
+    """``ceiling`` with the node order of every height and gradient call logged."""
+    calls = {"height": [], "gradient": []}
+
+    def height(r, t):
+        calls["height"].append(np.shape(r)[0])
+        return ceiling.height(r, t)
+
+    def gradient(r, t):
+        calls["gradient"].append(np.shape(r)[0])
+        return ceiling.gradient(r, t)
+
+    return CeilingFunction(height, gradient), calls
+
+
+class TestFusedRoomIntegrals:
+    TOLERANCES = (Tolerance(), Tolerance(1e-10, 1e-10))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_height_and_one_gradient_call_per_order(self, seed):
+        rng = np.random.default_rng(seed)
+        for ceiling in (random_smooth_ceiling(rng), CeilingFunction.constant(0.9)):
+            counted, calls = counting_ceiling(ceiling)
+            isoperimetric_check(PolarDisk(1.1), counted)
+            orders = calls["height"]
+            assert len(orders) >= 2
+            assert orders == list(_NODE_COUNTS[: len(orders)])
+            assert calls["gradient"] == orders
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 13])
+    def test_fused_room_equals_the_lone_integrals(self, seed):
+        rng = np.random.default_rng(seed)
+        for tol in self.TOLERANCES:
+            for _ in range(8):
+                floor = PolarDisk(float(rng.uniform(0.6, 1.4)))
+                for ceiling in (random_smooth_ceiling(rng),
+                                CeilingFunction.constant(float(rng.uniform(0.0, 3.0)))):
+                    spec = isoperimetric_check(floor, ceiling, tol)
+                    assert spec.volume == room_volume(floor, ceiling, tol)
+                    assert spec.ceiling_area == ceiling_area(floor, ceiling, tol)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_prism_pair_equals_the_lone_triangle_integrals(self, seed):
+        rng = np.random.default_rng(seed)
+        for tol in self.TOLERANCES:
+            for _ in range(10):
+                r, a = 0.9 * np.sqrt(rng.uniform(size=3)), rng.uniform(0.0, 2.0 * np.pi, 3)
+                tri = ProjectiveTriangle(tuple(zip(r * np.cos(a), r * np.sin(a))))
+                (inverse_gap,) = _triangle_quadrature(
+                    lambda x, y: (1.0 / (1.0 - x * x - y * y),), tri, tol, ("1/gap",)
+                )
+                (area,) = _triangle_quadrature(
+                    lambda x, y: ((1.0 - x * x - y * y) ** -1.5,), tri, tol, ("area",)
+                )
+                assert cusp_prism_check(tri, tol) == (0.5 * inverse_gap, area)
 
 
 class TestCuspPrism:
