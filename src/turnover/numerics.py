@@ -201,29 +201,33 @@ def _leggauss(n: int) -> tuple[tuple[float, float], ...]:
 
 
 def _converge(
-    estimate: Callable[[int], tuple[float, ...]], tol: Tolerance, what: tuple[str, ...]
+    estimate: Callable[[int], tuple[float, ...]],
+    tol: Tolerance,
+    what: tuple[str, ...] | Callable[[], tuple[str, ...]],
 ) -> tuple[float, ...]:
     """Run ``estimate(n)`` over ``_NODE_COUNTS``; it returns one estimate per
     quantity, all from the same order-``n`` nodes.  Each quantity keeps the
     first estimate that agrees with its predecessor to ``tol``, the value a
     run on that quantity alone would return, and the loop ends once every
     quantity has one.  ``what[i]`` names quantity ``i``'s integrand and
-    domain in the ``ConvergenceError``, which names each one left over."""
-    done: list[float | None] = [None] * len(what)
-    previous = residuals = (math.nan,) * len(what)
-    for n in _NODE_COUNTS:
-        totals = estimate(n)
+    domain in the ``ConvergenceError``, which names each one left over;
+    ``what`` may also be a zero-argument callable returning those names,
+    called only when the error is raised."""
+    totals = estimate(_NODE_COUNTS[0])
+    done: list[float | None] = [None] * len(totals)
+    for n in _NODE_COUNTS[1:]:
+        previous, totals = totals, estimate(n)
         residuals = tuple(abs(total - last) for total, last in zip(totals, previous))
         for i, (total, residual) in enumerate(zip(totals, residuals)):
             if done[i] is None and residual <= tol.bound(total):
                 done[i] = total
         if None not in done:
             return tuple(done)
-        previous = totals
+    names = what() if callable(what) else what
     raise ConvergenceError("; ".join(
         f"{name} did not converge in {len(_NODE_COUNTS)} orders "
         f"(up to {_NODE_COUNTS[-1]} nodes): residual {residual:.3g}"
-        for name, value, residual in zip(what, done, residuals) if value is None
+        for name, value, residual in zip(names, done, residuals) if value is None
     ))
 
 

@@ -34,22 +34,27 @@ and volume < floor_area / 2 pointwise.
 radial/affine directions and a periodic midpoint rule in theta, run by
 ``numerics._converge`` on arrays of ``numerics._leggauss`` nodes; no other
 module imports numpy.  A ceiling supplies its height and its exact
-gradient, both evaluated on numpy arrays of (r, theta) nodes; there is no
-finite-difference fallback.  Monte Carlo is only a test oracle, never used
-here.
+gradient, both evaluated on the node grid (r an (n, 1) column, theta a
+(1, 2n) row); there is no finite-difference fallback.  The random ceiling
+sums its modes as one matrix product, an (n, modes) radial matrix times a
+(modes, 2n) angular matrix, and rejects any other shape.  Monte Carlo is
+only a test oracle, never used here.
 
 One node evaluation per order feeds both integrals of a check.
 ``isoperimetric_check`` calls ``height`` and ``gradient`` once per order,
 takes sinh r once, and integrates the volume and area densities together;
-a density constant in theta is broadcast to the (n, 2n) grid only at the
-end.  ``cusp_prism_check`` builds the collapsed nodes and the gap
-1 - x^2 - y^2 once per order for both of its integrands.  ``_converge``
-gives each quantity the estimate at which it alone converged, so
-``room_volume`` and ``ceiling_area``, which integrate the same density
-functions one at a time, return the same bits as the fused check.  A
-ceiling too tall for these quantities to be floats (a constant one over
-the unit-radius disk from a height of about 177) is a ``DomainError``
-naming its height.
+each density is summed in place in one array, and a density constant in
+theta is broadcast to the (n, 2n) grid only at the end.
+``cusp_prism_check`` builds the collapsed nodes and the gap 1 - x^2 - y^2
+once per order for both of its integrands, with the Jacobian's factor u
+folded into the row weights and its constant into the scalar sum.
+``_converge`` gives each quantity the estimate at which it alone
+converged, so ``room_volume`` and ``ceiling_area``, which integrate the
+same density functions one at a time, return the same bits as the fused
+check; the names in a ``ConvergenceError`` are formatted only when it is
+raised.  A ceiling too tall for these quantities to be floats (a constant
+one over the unit-radius disk from a height of about 177) is a
+``DomainError`` naming its height, in all three disk integrals.
 """
 
 from __future__ import annotations
@@ -134,9 +139,12 @@ class CeilingFunction:
     """Nonnegative height function g(r, theta) over a floor, with its gradient.
 
     ``height(r, theta)`` returns g and ``gradient(r, theta)`` returns the
-    pair (g_r, g_theta).  Both must accept numpy arrays; they may return
-    scalars or arrays of any shape that broadcasts against (r, theta),
+    pair (g_r, g_theta).  The quadratures call both on the node grid: r an
+    (n, 1) column of radii and theta a (1, 2n) row of angles.  They may
+    return scalars or arrays of any shape that broadcasts against (r, theta),
     because the quadratures broadcast only the densities built from them.
+    ``random_smooth_ceiling`` sums its modes as one matrix product and
+    accepts only that grid.
     """
 
     height: Callable
@@ -200,14 +208,21 @@ def _disk_grid(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _disk_quadrature(
-    densities: Callable, radius: float, tol: Tolerance, what: tuple[str, ...]
+    densities: Callable,
+    ceiling: CeilingFunction,
+    radius: float,
+    tol: Tolerance,
+    quantities: tuple[str, ...],
 ) -> tuple[float, ...]:
-    """Integrate each of ``densities(r, theta)`` over [0, radius] x [0, 2 pi].
+    """Integrate each of ``densities(ceiling, r, theta)`` over [0, radius] x [0, 2 pi].
 
-    ``densities`` returns one array per quantity, each broadcastable to the
-    (n, 2n) node grid and already including every metric factor, so one
-    evaluation of the nodes per order feeds every integral.  Gauss panels in
-    r, periodic midpoints in theta, orders raised by ``_converge``.
+    ``densities`` returns one array per quantity named in ``quantities``,
+    each broadcastable to the (n, 2n) node grid and already including every
+    metric factor, so one evaluation of the nodes per order feeds every
+    integral.  Gauss panels in r, periodic midpoints in theta, orders raised
+    by ``_converge``.  The rule runs with numpy overflow raised: a ceiling
+    too tall for its densities to be floats is a ``DomainError`` naming its
+    height.
     """
 
     def estimate(n: int) -> tuple[float, ...]:
@@ -215,23 +230,39 @@ def _disk_quadrature(
         m = 2 * n
         weights = (2.0 * math.pi / m) * radius * w
         totals = []
-        for values in densities(*_disk_grid(n, radius)):
+        for values in densities(ceiling, *_disk_grid(n, radius)):
             if np.shape(values) != (n, m):  # a density constant in theta
                 values = np.broadcast_to(values, (n, m))
             totals.append(float(weights @ values.sum(axis=1)))
         return tuple(totals)
 
-    return _converge(estimate, tol, what)
+    def what() -> tuple[str, ...]:
+        return tuple(
+            f"disk quadrature of the {quantity} on [0, {radius}] x [0, 2 pi]"
+            for quantity in quantities
+        )
+
+    try:
+        with np.errstate(over="raise"):
+            return _converge(estimate, tol, what)
+    except FloatingPointError:
+        tallest = float(np.max(ceiling.height(*_disk_grid(_NODE_COUNTS[0], radius))))
+        raise DomainError(
+            f"room integrals overflow a float: ceiling height {tallest:.6g} over "
+            f"a disk of radius {radius}"
+        ) from None
 
 
 def _triangle_quadrature(
-    densities: Callable, tri: ProjectiveTriangle, tol: Tolerance, what: tuple[str, ...]
+    densities: Callable, tri: ProjectiveTriangle, tol: Tolerance, quantities: tuple[str, ...]
 ) -> tuple[float, ...]:
     """Integrate each of ``densities(x, y)`` dx dy over the triangle.
 
     Uses the square-to-triangle collapse P(u, v) = A + u ((B-A) + v (C-B))
     on [0,1]^2, whose Jacobian is u * |cross(B-A, C-B)|; the collapsed
-    nodes are built once per order for every density.
+    nodes are built once per order for every density.  The factor u is
+    folded into the row weights and the constant |cross| into the scalar
+    sum, so each density is reduced by two matrix-vector products.
     """
     (ax, ay), (bx, by), (cx, cy) = tri.vertices
     e1 = (bx - ax, by - ay)
@@ -243,7 +274,14 @@ def _triangle_quadrature(
         U, V = u[:, None], u[None, :]
         x = ax + U * (e1[0] + V * e2[0])
         y = ay + U * (e1[1] + V * e2[1])
-        return tuple(float(w @ (values * U * jac) @ w) for values in densities(x, y))
+        wu = w * u
+        return tuple(jac * float(wu @ values @ w) for values in densities(x, y))
+
+    def what() -> tuple[str, ...]:
+        return tuple(
+            f"triangle quadrature over {tri.vertices} of {quantity}"
+            for quantity in quantities
+        )
 
     return _converge(estimate, tol, what)
 
@@ -260,15 +298,55 @@ def _require_disk(floor: FloorRegion) -> PolarDisk:
 # --- room densities: each written once, shared by the fused and lone integrals
 
 
+def _into(acc, ufunc, operand):
+    """``ufunc(acc, operand)``, written over the array ``acc`` in place; a
+    fresh value when ``acc`` is a scalar or cannot hold the result, being
+    narrower in shape or type (a ceiling constant in r or in theta)."""
+    if isinstance(acc, np.ndarray):
+        try:
+            return ufunc(acc, operand, out=acc)
+        except (TypeError, ValueError):
+            pass
+    return ufunc(acc, operand)
+
+
 def _volume_density(g, sinh_r):
     """(sinh 2g + 2g)/4 dA of the room under height g."""
-    return 0.25 * (np.sinh(2.0 * g) + 2.0 * g) * sinh_r
+    two_g = 2.0 * g
+    density = np.sinh(two_g)
+    density += two_g
+    # 0.25 is a power of two: the same bits as 0.25 * (...) * sinh_r.
+    return _into(density, np.multiply, 0.25 * sinh_r)
 
 
 def _area_density(g, g_r, g_t, sinh_r):
     """cosh g sqrt((g_r^2 + cosh^2 g) sinh^2 r + g_theta^2) of the ceiling's graph."""
     cg = np.cosh(g)
-    return cg * np.sqrt((g_r**2 + cg**2) * sinh_r**2 + g_t**2)
+    # cg**2, not np.square: a scalar cg squares through pow, not always cg * cg.
+    density = _into(np.square(g_r), np.add, cg**2)
+    density = _into(density, np.multiply, np.square(sinh_r))
+    density = _into(density, np.add, np.square(g_t))
+    np.sqrt(density, out=density)
+    density *= cg
+    return density
+
+
+def _room_densities(ceiling, r, theta):
+    """The volume and area densities from one ``height`` and one ``gradient``
+    evaluation, sharing sinh r."""
+    g = ceiling.height(r, theta)
+    g_r, g_t = ceiling.gradient(r, theta)
+    sinh_r = np.sinh(r)
+    return _volume_density(g, sinh_r), _area_density(g, g_r, g_t, sinh_r)
+
+
+def _room_volume_density(ceiling, r, theta):
+    return (_volume_density(ceiling.height(r, theta), np.sinh(r)),)
+
+
+def _ceiling_area_density(ceiling, r, theta):
+    g_r, g_t = ceiling.gradient(r, theta)
+    return (_area_density(ceiling.height(r, theta), g_r, g_t, np.sinh(r)),)
 
 
 def _prism_densities(x, y):
@@ -276,10 +354,6 @@ def _prism_densities(x, y):
     (twice over) and the projective area element."""
     gap = 1.0 - x * x - y * y
     return 1.0 / gap, gap ** -1.5
-
-
-def _disk_what(quantity: str, radius: float) -> str:
-    return f"disk quadrature of the {quantity} on [0, {radius}] x [0, 2 pi]"
 
 
 # --- room operations ---------------------------------------------------------
@@ -290,12 +364,8 @@ def room_volume(
 ) -> float:
     """Volume Int_F (sinh 2g + 2g)/4 dA of the room under ``ceiling``."""
     disk = _require_disk(floor)
-
-    def densities(r, theta):
-        return (_volume_density(ceiling.height(r, theta), np.sinh(r)),)
-
     return _disk_quadrature(
-        densities, disk.radius, tol, (_disk_what("room volume", disk.radius),)
+        _room_volume_density, ceiling, disk.radius, tol, ("room volume",)
     )[0]
 
 
@@ -304,13 +374,8 @@ def ceiling_area(
 ) -> float:
     """Area of the graph of ``ceiling`` over the floor."""
     disk = _require_disk(floor)
-
-    def densities(r, theta):
-        g_r, g_t = ceiling.gradient(r, theta)
-        return (_area_density(ceiling.height(r, theta), g_r, g_t, np.sinh(r)),)
-
     return _disk_quadrature(
-        densities, disk.radius, tol, (_disk_what("ceiling area", disk.radius),)
+        _ceiling_area_density, ceiling, disk.radius, tol, ("ceiling area",)
     )[0]
 
 
@@ -403,23 +468,9 @@ def isoperimetric_check(
     for these quantities to be floats is a ``DomainError`` naming its height.
     """
     disk = _require_disk(floor)
-
-    def densities(r, theta):
-        g = ceiling.height(r, theta)
-        g_r, g_t = ceiling.gradient(r, theta)
-        sinh_r = np.sinh(r)
-        return _volume_density(g, sinh_r), _area_density(g, g_r, g_t, sinh_r)
-
-    what = (_disk_what("room volume", disk.radius), _disk_what("ceiling area", disk.radius))
-    try:
-        with np.errstate(over="raise"):
-            V, A_C = _disk_quadrature(densities, disk.radius, tol, what)
-    except FloatingPointError:
-        tallest = float(np.max(ceiling.height(*_disk_grid(_NODE_COUNTS[0], disk.radius))))
-        raise DomainError(
-            f"room integrals overflow a float: ceiling height {tallest:.6g} over "
-            f"a disk of radius {disk.radius}"
-        ) from None
+    V, A_C = _disk_quadrature(
+        _room_densities, ceiling, disk.radius, tol, ("room volume", "ceiling area")
+    )
     A_F = disk.area
     H_eq = nice_height(V, A_F, tol)
     A_S = _nice_area(V, A_F, H_eq)
@@ -451,9 +502,8 @@ def cusp_prism_check(
     set of collapsed nodes per order; asserts the strict pointwise
     inequality volume < floor_area / 2.
     """
-    where = f"triangle quadrature over {tri.vertices}"
     inverse_gap, floor_area = _triangle_quadrature(
-        _prism_densities, tri, tol, (f"{where} of 1/gap", f"{where} of gap^-1.5")
+        _prism_densities, tri, tol, ("1/gap", "gap^-1.5")
     )
     volume = 0.5 * inverse_gap
     if volume >= 0.5 * floor_area + tol.bound(volume):
@@ -473,7 +523,10 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
     Base height in [0.6, 1.4] plus up to three angular modes with radial
     profiles tanh(r)^j, budgeted so the total wiggle stays below 85% of the
     base; the j-th power pins the mode to zero at the origin, keeping the
-    graph smooth there.
+    graph smooth there.  The height and its gradient sum the modes as one
+    matrix product of an (n, modes) radial matrix and a (modes, m) angular
+    matrix, so they take r as an (n, 1) column and theta as a (1, m) row,
+    the quadrature grid; any other shape is a ``DomainError``.
     """
     base = float(rng.uniform(0.6, 1.4))
     n_modes = int(rng.integers(1, 4))
@@ -482,21 +535,30 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
     raw = rng.uniform(0.2, 1.0, size=n_modes)
     amps = raw * (0.85 * base / raw.sum())
 
-    modes = [(float(a), int(f), float(ph)) for a, f, ph in zip(amps, freqs, phases)]
+    f = freqs.astype(float)
+    f_col, phase_col = f[:, None], phases[:, None]
+
+    def tanh_and_angles(r, theta):
+        """tanh r as an (n, 1) column and the (modes, m) mode angles f theta + phase."""
+        r_shape, theta_shape = np.shape(r), np.shape(theta)
+        if len(r_shape) != 2 or r_shape[1] != 1 or len(theta_shape) != 2 or theta_shape[0] != 1:
+            raise DomainError(
+                "a random ceiling is evaluated on a grid: r an (n, 1) column and "
+                f"theta a (1, m) row, got shapes {r_shape} and {theta_shape}"
+            )
+        return np.tanh(r), f_col * theta + phase_col
 
     def height(r, theta):
-        total = base
-        for a, f, ph in modes:
-            total = total + a * np.tanh(r) ** f * np.cos(f * theta + ph)
-        return total
+        t, angles = tanh_and_angles(r, theta)
+        g = (amps * t**f) @ np.cos(angles)
+        g += base
+        return g
 
     def gradient(r, theta):
-        t = np.tanh(r)
-        g_r = g_t = 0.0
-        for a, f, ph in modes:
-            angle = f * theta + ph
-            g_r = g_r + a * f * t ** (f - 1) * (1.0 - t * t) * np.cos(angle)
-            g_t = g_t - a * f * t**f * np.sin(angle)
+        t, angles = tanh_and_angles(r, theta)
+        d_dt = amps * f * t ** (f - 1.0)  # of each mode's radial profile amps t^f
+        g_r = (d_dt * (1.0 - t * t)) @ np.cos(angles)
+        g_t = (-d_dt * t) @ np.sin(angles)
         return g_r, g_t
 
     return CeilingFunction(height=height, gradient=gradient)

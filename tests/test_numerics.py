@@ -222,6 +222,19 @@ class TestConverge:
         assert f"residual {1.0 / 192 - 1.0 / 256:.3g}" in message
         assert "early" not in message
 
+    def test_names_are_built_only_when_the_error_is_raised(self):
+        built = []
+
+        def what():
+            built.append(1)
+            return ("early", "drift")
+
+        assert _converge(lambda n: (self.early(n), self.late(n)), Tolerance(), what)
+        assert built == []
+        with pytest.raises(ConvergenceError, match=r"^drift did not converge"):
+            _converge(lambda n: (self.early(n), 1.0 / n), Tolerance(), what)
+        assert built == [1]
+
 
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", sorted({_FIXED_NODES, *_NODE_COUNTS}))

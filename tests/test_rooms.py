@@ -6,6 +6,7 @@ never touches the production quadrature path.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -133,6 +134,13 @@ class TestRoomVolume:
         with pytest.raises(DomainError):
             room_volume(equilateral_triangle(0.5), CeilingFunction.constant(1.0))
 
+    def test_too_tall_constant_ceiling_names_its_height(self):
+        # sinh 800 overflows the volume density.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"height 400 over a disk of radius 1.0$"):
+                room_volume(PolarDisk(1.0), CeilingFunction.constant(400.0))
+
 
 class TestCeilingArea:
     def test_zero_ceiling_is_floor(self):
@@ -146,6 +154,13 @@ class TestCeilingArea:
         value = ceiling_area(disk, CeilingFunction.constant(height))
         assert value == pytest.approx(disk.area * math.cosh(height) ** 2, rel=1e-11)
 
+    def test_too_tall_constant_ceiling_names_its_height(self):
+        # cosh^2 400 overflows the area density.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"height 400 over a disk of radius 1.0$"):
+                ceiling_area(PolarDisk(1.0), CeilingFunction.constant(400.0))
+
     def test_height_alone_is_not_a_ceiling(self):
         with pytest.raises(TypeError):
             CeilingFunction(lambda r, t: 0.8)
@@ -155,14 +170,13 @@ class TestCeilingArea:
         ceiling = tanh_mode_ceiling(0.5, 0.3, np.sin, np.cos)
         area = ceiling_area(disk, ceiling)
 
-        def no_gradient(r, t):
-            g = ceiling.height(r, t)
-            return np.cosh(g) ** 2 * np.sinh(r)
+        def no_gradient(ceiling, r, t):
+            return (np.cosh(ceiling.height(r, t)) ** 2 * np.sinh(r),)
 
         from turnover.rooms import _disk_quadrature
 
         (dropped,) = _disk_quadrature(
-            lambda r, t: (no_gradient(r, t),), 1.0, Tolerance(), ("no-gradient area",)
+            no_gradient, ceiling, 1.0, Tolerance(), ("no-gradient area",)
         )
         assert area >= dropped - 1e-9
 
@@ -363,6 +377,109 @@ class TestIsoperimetricCheck:
             assert float(values.max()) < 3.0
 
 
+def documented_draws(rng):
+    """The draws ``random_smooth_ceiling`` documents, in its order: base,
+    mode count, frequencies, phases, raw amplitudes."""
+    base = float(rng.uniform(0.6, 1.4))
+    n_modes = int(rng.integers(1, 4))
+    freqs = rng.integers(1, 4, size=n_modes)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n_modes)
+    raw = rng.uniform(0.2, 1.0, size=n_modes)
+    amps = raw * (0.85 * base / raw.sum())
+    return base, list(zip(amps.tolist(), freqs.tolist(), phases.tolist()))
+
+
+def per_mode_reference(base, modes, r, t):
+    """Height and gradient of the random ceiling summed one mode at a time."""
+    tanh = np.tanh(r)
+    g, g_r, g_t = base, 0.0, 0.0
+    for a, f, ph in modes:
+        angle = f * t + ph
+        g = g + a * tanh**f * np.cos(angle)
+        g_r = g_r + a * f * tanh ** (f - 1) * (1.0 - tanh * tanh) * np.cos(angle)
+        g_t = g_t - a * f * tanh**f * np.sin(angle)
+    return g, g_r, g_t
+
+
+class TestRandomCeiling:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matrix_form_equals_the_per_mode_sum(self, seed):
+        ceiling = random_smooth_ceiling(np.random.default_rng(seed))
+        base, modes = documented_draws(np.random.default_rng(seed))
+        for n in _NODE_COUNTS:
+            r, t = rooms._disk_grid(n, 1.4)
+            g, g_r, g_t = per_mode_reference(base, modes, r, t)
+            assert np.shape(ceiling.height(r, t)) == (n, 2 * n)
+            np.testing.assert_allclose(ceiling.height(r, t), g, rtol=0.0, atol=1e-14)
+            got_r, got_t = ceiling.gradient(r, t)
+            np.testing.assert_allclose(got_r, g_r, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(got_t, g_t, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_draws_are_the_documented_ones(self, seed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        random_smooth_ceiling(rng)
+        documented_draws(twin)
+        assert rng.random() == twin.random()
+
+    def test_one_dimensional_nodes_are_a_domain_error(self):
+        # 1-D r and theta as long as the mode list would pass through the
+        # matrix products and give a wrong array if they were not rejected.
+        for seed in range(20):
+            _, modes = documented_draws(np.random.default_rng(seed))
+            ceiling = random_smooth_ceiling(np.random.default_rng(seed))
+            r = np.linspace(0.1, 1.0, len(modes))
+            t = np.linspace(0.0, 2.0, len(modes))
+            for evaluate in (ceiling.height, ceiling.gradient):
+                with pytest.raises(DomainError, match=r"\(n, 1\) column.*\(1, m\) row"):
+                    evaluate(r, t)
+        with pytest.raises(DomainError):
+            ceiling.height(0.5, 0.0)
+        with pytest.raises(DomainError):
+            ceiling.height(np.full((3, 2), 0.5), np.zeros((1, 4)))
+
+
+def on_full_grid(ceiling):
+    """``ceiling`` with every value broadcast to the full (n, 2n) grid."""
+
+    def full(value, r, t):
+        return value + np.zeros(np.broadcast(r, t).shape)
+
+    return CeilingFunction(
+        height=lambda r, t: full(ceiling.height(r, t), r, t),
+        gradient=lambda r, t: tuple(full(v, r, t) for v in ceiling.gradient(r, t)),
+    )
+
+
+class TestCeilingShapes:
+    """A ceiling may return scalars, or arrays narrower than the node grid
+    in shape or type."""
+
+    CEILINGS = (
+        # constant in r: height and gradient are (1, 2n) rows
+        CeilingFunction(lambda r, t: 0.8 + 0.1 * np.cos(t),
+                        lambda r, t: (0.0, -0.1 * np.sin(t))),
+        # g_r an (n, 1) column, g_theta a (1, 2n) row, the height the full grid
+        CeilingFunction(lambda r, t: 0.5 + 0.25 * r * r + 0.1 * np.cos(t),
+                        lambda r, t: (0.5 * r, -0.1 * np.sin(t))),
+        # an integer g_r column, which cannot hold a float sum
+        CeilingFunction(lambda r, t: 0.7 + 0.0 * r,
+                        lambda r, t: (np.zeros(np.shape(r), dtype=int), 0.0)),
+    )
+
+    @pytest.mark.parametrize("index", range(len(CEILINGS)))
+    def test_narrow_values_integrate_like_the_full_grid(self, index):
+        # g_theta does not vanish at the origin, so the area density has a
+        # kink there and converges only to a looser tolerance.
+        ceiling, floor, tol = self.CEILINGS[index], PolarDisk(1.1), Tolerance(1e-8, 1e-8)
+        spec = isoperimetric_check(floor, ceiling, tol)
+        full = isoperimetric_check(floor, on_full_grid(ceiling), tol)
+        assert spec.volume == pytest.approx(full.volume, rel=1e-13)
+        assert spec.ceiling_area == pytest.approx(full.ceiling_area, rel=1e-13)
+        assert spec.volume == room_volume(floor, ceiling, tol)
+        assert spec.ceiling_area == ceiling_area(floor, ceiling, tol)
+
+
 def counting_ceiling(ceiling):
     """``ceiling`` with the node order of every height and gradient call logged."""
     calls = {"height": [], "gradient": []}
@@ -421,6 +538,18 @@ class TestFusedRoomIntegrals:
 
 
 class TestCuspPrism:
+    def test_unconverged_prism_names_its_vertices(self):
+        tri = ProjectiveTriangle(((0.9995, 0.0), (0.0, 0.5), (-0.5, -0.5)))
+        where = re.escape("triangle quadrature over ((0.9995, 0.0), (0.0, 0.5), (-0.5, -0.5))")
+        with pytest.raises(ConvergenceError) as info:
+            cusp_prism_check(tri)
+        assert re.fullmatch(
+            rf"{where} of 1/gap did not converge in 9 orders \(up to 256 nodes\): "
+            rf"residual \S+; {where} of gap\^-1\.5 did not converge in 9 orders "
+            rf"\(up to 256 nodes\): residual \S+",
+            str(info.value),
+        )
+
     def test_equilateral_point_nine(self):
         volume, area = cusp_prism_check(equilateral_triangle(0.9))
         assert volume < 0.5 * area
