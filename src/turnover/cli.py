@@ -5,8 +5,8 @@ text view from it, so the two output modes always agree; ``--json`` prints
 the payload itself.  Numeric text output uses 10 significant digits.
 
 Every subcommand takes ``--json``.  Only ``room-check`` iterates to a
-tolerance, so only it takes ``--tol`` (else ``TURNOVER_TOL``) and
-``--seed``; on any other command either flag is a usage error.
+tolerance, so only it takes ``--tol`` and ``--seed``; on any other
+command either flag is a usage error.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numeric failure
 (non-convergence or a violated theorem-backed inequality).
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import collars, engine, trig
@@ -238,13 +237,7 @@ def _cmd_room_check(args):
     from . import rooms  # imported here: rooms loads numpy, which no other command needs
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
-    tol, env_tol = args.tol, os.environ.get("TURNOVER_TOL")
-    if tol is None and env_tol:
-        try:
-            tol = float(env_tol)
-        except ValueError:
-            raise DomainError(f"TURNOVER_TOL must be a number, got {env_tol!r}") from None
-    tol = DEFAULT_TOLERANCE if tol is None else Tolerance(abs_tol=tol, rel_tol=tol)
+    tol = DEFAULT_TOLERANCE if args.tol is None else Tolerance(args.tol, args.tol)
     if args.constant is not None:
         floor = rooms.PolarDisk(1.0)
         ceiling = rooms.CeilingFunction.constant(args.constant)
@@ -359,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", type=float, default=None,
                    help="check a single constant ceiling of this height instead")
     p.add_argument("--tol", type=float, default=None,
-                   help="quadrature and root tolerance, abs and rel (else TURNOVER_TOL)")
+                   help="quadrature and root tolerance, abs and rel")
     p.set_defaults(handler=_cmd_room_check)
 
     p = sub.add_parser("registry", parents=[common], help="cited orbifold registry")

@@ -31,9 +31,7 @@ from itertools import count, permutations, takewhile
 from .errors import DomainError
 from .trig import (
     MAX_CONE_ORDER,
-    GeometryClass,
     TurnoverSignature,
-    classify,
     require_hyperbolic,
     triangle_geometry,
 )
@@ -241,8 +239,9 @@ def supergroups(
     """Every turnover group properly containing ``sig``, per the table.
 
     Returns (supergroup signature, index, normal) triples; an empty list
-    means ``sig`` is maximal.  Instantiated supergroups must themselves be
-    hyperbolic.
+    means ``sig`` is maximal.  Every row keeps chi(sub) = index chi(super),
+    so a supergroup of a hyperbolic ``sig`` is hyperbolic; an instantiated
+    order above ``MAX_CONE_ORDER`` drops the row.
     """
     require_hyperbolic(sig)
     perms = set(permutations(sig.orders))
@@ -253,8 +252,6 @@ def supergroups(
             try:
                 sup = TurnoverSignature(*values)
             except DomainError:
-                continue
-            if classify(sup) is not GeometryClass.HYPERBOLIC:
                 continue
             found.add((sup, entry.index, entry.normal))
     return sorted(found, key=lambda item: (item[1], item[0].orders))

@@ -53,7 +53,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .collars import refined_boundary_orders
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_positive
 from .numerics import constant_H
 from .simplices import (
     ReturnPathCase,
@@ -282,10 +282,7 @@ def exclusion_by_volume(
     is capped by Area(sig); otherwise the cap is H* Area(sig).  Excluded
     means the stated volume exceeds the cap, a contradiction.
     """
-    if not (orbifold_volume > 0.0 and math.isfinite(orbifold_volume)):
-        if math.isnan(orbifold_volume):
-            raise DomainError("orbifold volume is not a number (nan)")
-        raise DomainError(f"orbifold volume must be positive, got {orbifold_volume}")
+    require_finite(require_positive(orbifold_volume, "orbifold volume"), "orbifold volume")
     ledger = make_ledger(sig)
     cap = (ledger.upper_bound_with_boundary if has_embedded_turnovers
            else ledger.upper_bound_no_boundary)
@@ -312,10 +309,7 @@ class RefinementInput:
     def __post_init__(self) -> None:
         if self.kind not in ("disk", "separation"):
             raise DomainError(f"unknown refinement kind {self.kind!r}")
-        if math.isnan(self.value):
-            raise DomainError("refinement input is not a number (nan)")
-        if not (self.value > 0.0):
-            raise DomainError("refinement input must be positive")
+        require_positive(self.value, "refinement input")
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ are fixed (``_ROOT_STEPS`` for ``find_root``, the nine orders of
 adaptive function in the package, defaulting to ``DEFAULT_TOLERANCE``;
 there is no process-wide setting.  The verdict chain (``engine``) reads
 none: its only iterated quantity is H*.  The room quadratures do, and
-``turnover room-check`` resolves ``--tol`` / ``TURNOVER_TOL`` into one
-``Tolerance`` per invocation and passes it down.
+``turnover room-check`` turns ``--tol`` into one ``Tolerance`` per
+invocation and passes it down.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import BracketError, ConvergenceError, DomainError
+from .errors import require_finite, require_nonnegative, require_positive
 
 __all__ = [
     "Tolerance",
@@ -89,10 +90,8 @@ class Tolerance:
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError("abs_tol must be a positive finite real")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
-            raise DomainError("rel_tol must be a nonnegative finite real")
+        require_finite(require_positive(self.abs_tol, "abs_tol"), "abs_tol")
+        require_finite(require_nonnegative(self.rel_tol, "rel_tol"), "rel_tol")
 
     def bound(self, magnitude: float) -> float:
         """Effective tolerance for a quantity of the given magnitude."""

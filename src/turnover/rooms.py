@@ -68,6 +68,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InequalityViolation
+from .errors import require_finite, require_nonnegative, require_positive
 from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, constant_H, find_root
 from .numerics import _NODE_COUNTS, _converge, _leggauss
 
@@ -97,14 +98,13 @@ class PolarDisk:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            if math.isnan(self.radius):
-                raise DomainError("disk radius is not a number (nan)")
-            raise DomainError(f"disk radius must be positive, got {self.radius}")
+        require_finite(require_positive(self.radius, "disk radius"), "disk radius")
 
     @property
     def area(self) -> float:
-        return 2.0 * math.pi * (math.cosh(self.radius) - 1.0)
+        """2 pi (cosh r - 1), written as 4 pi sinh^2(r/2) so that small radii
+        do not cancel."""
+        return 4.0 * math.pi * math.sinh(0.5 * self.radius) ** 2
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,8 @@ class CeilingFunction:
 
     @staticmethod
     def constant(h: float) -> "CeilingFunction":
-        if math.isnan(h):
-            raise DomainError("constant ceiling height is not a number (nan)")
-        if not (math.isfinite(h) and h >= 0.0):
-            raise DomainError(f"constant ceiling height must be finite and >= 0, got {h}")
+        require_finite(require_nonnegative(h, "constant ceiling height"),
+                       "constant ceiling height")
         return CeilingFunction(height=lambda r, theta: h,
                                gradient=lambda r, theta: (0.0, 0.0))
 
@@ -390,18 +388,8 @@ def nice_height(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> flo
     hi = 1 but stops at ``_MAX_HEIGHT``, where sinh 2H is still a float; a
     right-hand side whose root lies beyond it is a ``DomainError``.
     """
-    if not (V >= 0.0 and math.isfinite(V)):
-        if math.isnan(V):
-            raise DomainError("volume is not a number (nan)")
-        if V > 0.0:
-            raise DomainError(f"volume must be finite, got {V}")
-        raise DomainError(f"volume must be >= 0, got {V}")
-    if not (A_F > 0.0 and math.isfinite(A_F)):
-        if math.isnan(A_F):
-            raise DomainError("floor area is not a number (nan)")
-        if A_F > 0.0:
-            raise DomainError(f"floor area must be finite, got {A_F}")
-        raise DomainError(f"floor area must be positive, got {A_F}")
+    require_finite(require_nonnegative(V, "volume"), "volume")
+    require_finite(require_positive(A_F, "floor area"), "floor area")
     if V == 0.0:
         return 0.0
     rhs = 4.0 * V / A_F
@@ -447,10 +435,7 @@ def nice_room_ratio(H: float) -> float:
     Evaluated in an exp(-2H)-scaled form so large heights neither overflow
     nor lose the limit value 2.  The minimum over H > 0 is 2/constant_H().
     """
-    if not (H > 0.0 and math.isfinite(H)):
-        if math.isnan(H):
-            raise DomainError("height is not a number (nan)")
-        raise DomainError(f"height must be positive, got {H}")
+    require_finite(require_positive(H, "height"), "height")
     u = math.exp(-2.0 * H)
     return (1.0 + u) ** 2 / (0.5 * (1.0 - u * u) + 2.0 * H * u)
 

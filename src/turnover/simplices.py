@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 from .numerics import _fixed_rule, lobachevsky
 from .trig import TurnoverSignature, hexagon_side, turnover_area
 
@@ -106,10 +106,7 @@ def angle_from_edge(length: float) -> float:
     """Inverse of ``edge_from_angle``: arccos(cosh l / (2 cosh l - 1)),
     with the ratio halved through so that 2 cosh l cannot overflow.  From
     about l = 35.64 on the angle rounds onto pi/3, which no T_theta has."""
-    if math.isnan(length):
-        raise DomainError("edge length is not a number (nan)")
-    if not (length > 0.0):
-        raise DomainError(f"edge length must be positive, got {length}")
+    require_positive(length, "edge length")
     ch = _cosh(length)
     theta = math.acos(min(0.5 * ch / (ch - 0.5), 1.0))
     if not (theta < THETA_MAX):
@@ -149,10 +146,7 @@ def truncated_simplex_volume(theta: float) -> float:
 
 def rho3(r: float) -> float:
     """Volume-to-truncation-area density of the T_theta with half-edge r."""
-    if math.isnan(r):
-        raise DomainError("half edge length is not a number (nan)")
-    if not (r > 0.0):
-        raise DomainError(f"half edge length must be positive, got {r}")
+    require_positive(r, "half edge length")
     return TruncatedSimplexSpec.from_edge(2.0 * r).rho3
 
 
@@ -256,10 +250,7 @@ def return_path_theta(case: ReturnPathCase) -> float:
 
 def miyamoto_lower_bound(boundary_area: float, length: float) -> float:
     """Volume lower bound rho3(l/2) * boundary_area from return-path length l."""
-    if math.isnan(boundary_area):
-        raise DomainError("boundary area is not a number (nan)")
-    if not (boundary_area > 0.0):
-        raise DomainError(f"boundary area must be positive, got {boundary_area}")
+    require_positive(boundary_area, "boundary area")
     return rho3(length / 2.0) * boundary_area
 
 
@@ -270,8 +261,5 @@ def length_from_disk_radius(disk_r: float) -> float:
     cosh l >= cosh 2r / (cosh 2r - 1); this returns the equality value,
     ``hexagon_side(2r, 2r)``.
     """
-    if math.isnan(disk_r):
-        raise DomainError("disk radius is not a number (nan)")
-    if not (disk_r > 0.0):
-        raise DomainError(f"disk radius must be positive, got {disk_r}")
+    require_positive(disk_r, "disk radius")
     return hexagon_side(2.0 * disk_r, 2.0 * disk_r)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 __all__ = [
     "MAX_CONE_ORDER",
@@ -197,10 +197,7 @@ def lambert_leg_bound(d: float) -> float:
     of a segment of length ``d`` and staying disjoint from a perpendicular
     geodesic at the far end forces the adjacent leg to exceed this value.
     """
-    if math.isnan(d):
-        raise DomainError("leg-bound base length is not a number (nan)")
-    if not (d > 0.0):
-        raise DomainError(f"leg-bound base length must be positive, got {d}")
+    require_positive(d, "leg-bound base length")
     return math.asinh(1.0 / math.sinh(d))
 
 
@@ -213,10 +210,8 @@ def hexagon_side(l: float, l_prime: float) -> float:
     in cosh d - 1.  Sides for which a term leaves float range raise
     ``DomainError``.
     """
-    if math.isnan(l) or math.isnan(l_prime):
-        raise DomainError("hexagon side is not a number (nan)")
-    if not (l > 0.0 and l_prime > 0.0):
-        raise DomainError("hexagon sides must be positive")
+    require_positive(l, "hexagon side")
+    require_positive(l_prime, "hexagon side")
     try:
         d = 2.0 * math.asinh(math.cosh(0.5 * l_prime) / math.sinh(l))
         if math.isfinite(d):

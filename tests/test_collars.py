@@ -26,7 +26,13 @@ from turnover.collars import (
     supergroups,
 )
 from turnover.errors import DomainError
-from turnover.trig import GeometryClass, TurnoverSignature, classify, turnover_area
+from turnover.trig import (
+    GeometryClass,
+    TurnoverSignature,
+    classify,
+    hyperbolic_signatures,
+    turnover_area,
+)
 
 # mpmath, 40 digits
 C_5 = 0.2779464851257106
@@ -230,6 +236,17 @@ class TestSupergroups:
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(DomainError):
             supergroups(TurnoverSignature(2, 4, 4))
+
+    def test_every_instantiation_keeps_chi_exactly(self):
+        """chi(sub) = index chi(super) in exact arithmetic for every row
+        returned at orders <= 40, so every supergroup is hyperbolic."""
+        found = 0
+        for sig in hyperbolic_signatures(range(2, 41)):
+            for sup, index, _ in supergroups(sig):
+                assert sig.chi_fraction() == index * sup.chi_fraction(), (sig, sup)
+                assert classify(sup) is GeometryClass.HYPERBOLIC
+                found += 1
+        assert found == 1615
 
 
 class TestConeOrderSets:

@@ -65,6 +65,12 @@ class TestFloors:
             2.0 * math.pi * (math.cosh(1.0) - 1.0), abs=1e-14
         )
 
+    def test_small_disk_area_keeps_its_digits(self):
+        """4 pi sinh^2(r/2) does not cancel: 2 pi (cosh r - 1) is 0.0 here."""
+        assert PolarDisk(1e-9).area == pytest.approx(math.pi * 1e-18, rel=1e-15)
+        spec = isoperimetric_check(PolarDisk(1e-6), CeilingFunction.constant(1.0))
+        assert spec.equivalent_height == pytest.approx(1.0, rel=1e-9)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf])
     def test_disk_validation(self, radius):
         with pytest.raises(DomainError):
