@@ -309,7 +309,7 @@ class RefinementInput:
     def __post_init__(self) -> None:
         if self.kind not in ("disk", "separation"):
             raise DomainError(f"unknown refinement kind {self.kind!r}")
-        require_positive(self.value, "refinement input")
+        require_finite(require_positive(self.value, "refinement input"), "refinement input")
 
 
 @dataclass(frozen=True)

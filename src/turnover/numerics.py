@@ -1,15 +1,19 @@
 """Deterministic scalar numerics: root finder, H*, quadrature, Lobachevsky kernel.
 
 Everything downstream (hyperbolic trigonometry, volume bounds, room
-integrals) funnels its 1-D numerics through this module so that tolerances
-and failure modes are uniform.  The workhorses are
+integrals) takes its tolerances, quadratures and kernel from this module so
+that failure modes are uniform.  The one root solved elsewhere is the nice
+height of a room: ``rooms.nice_height`` runs its own certified Newton
+iteration on a convex equation, with the same ``Tolerance`` and the same
+guarantee as ``find_root``.  The workhorses are
 
-* ``find_root`` -- a guarded bisection/secant hybrid.  Secant steps give the
-  usual superlinear convergence, but a bisection step is forced on every
-  other iteration so the bracket width provably halves at least once per
-  two iterations.  The result is deterministic and carries the plain
-  bisection guarantee.  ``constant_H`` is H*, its root of x = coth x, found
-  once at ``DEFAULT_TOLERANCE``: a derived constant, not a tunable one.
+* ``find_root`` -- a guarded bisection/secant hybrid, which now serves H*
+  alone.  Secant steps give the usual superlinear convergence, but a
+  bisection step is forced on every other iteration so the bracket width
+  provably halves at least once per two iterations.  The result is
+  deterministic and carries the plain bisection guarantee.  ``constant_H``
+  is H*, its root of x = coth x, found once at ``DEFAULT_TOLERANCE``: a
+  derived constant, not a tunable one.
 
 * One Gauss-Legendre quadrature path: ``_leggauss`` is the single node
   source, in pure Python (only ``rooms`` imports numpy), and ``_converge``
@@ -35,12 +39,13 @@ a few 1e-16 against ``mpmath.clsin(2, 2 theta) / 2``.  It reads no
 tolerance.
 
 A ``Tolerance`` is two numbers, ``(abs_tol, rel_tol)``; the step budgets
-are fixed (``_ROOT_STEPS`` for ``find_root``, the nine orders of
-``_NODE_COUNTS`` for the quadratures).  It is an explicit argument of every
-adaptive function in the package, defaulting to ``DEFAULT_TOLERANCE``;
-there is no process-wide setting.  The verdict chain (``engine``) reads
-none: its only iterated quantity is H*.  The room quadratures do, and
-``turnover room-check`` turns ``--tol`` into one ``Tolerance`` per
+are fixed (``_ROOT_STEPS`` for ``find_root``, ``rooms._NEWTON_STEPS`` for
+the nice height, the nine orders of ``_NODE_COUNTS`` for the
+quadratures).  It is an explicit argument of every adaptive function in
+the package, defaulting to ``DEFAULT_TOLERANCE``; there is no
+process-wide setting.  The verdict chain (``engine``) reads none: its
+only iterated quantity is H*.  The room quadratures and the nice height
+do, and ``turnover room-check`` turns ``--tol`` into one ``Tolerance`` per
 invocation and passes it down.
 """
 

@@ -44,7 +44,11 @@ One node evaluation per order feeds both integrals of a check.
 ``isoperimetric_check`` calls ``height`` and ``gradient`` once per order,
 takes sinh r once, and integrates the volume and area densities together;
 each density is summed in place in one array, and a density constant in
-theta is broadcast to the (n, 2n) grid only at the end.
+theta, an (n, 1) column, is repeated across the 2n angles only for the
+final row sums, which keeps the bits of a sum over the broadcast grid.
+The quadrature's grids are read-only, so the random ceiling remembers the
+last one by identity: tanh r and the cos and sin of its mode angles are
+computed once per grid for both ``height`` and ``gradient``.
 ``cusp_prism_check`` builds the collapsed nodes and the gap 1 - x^2 - y^2
 once per order for both of its integrands, with the Jacobian's factor u
 folded into the row weights and its constant into the scalar sum.
@@ -55,6 +59,12 @@ check; the names in a ``ConvergenceError`` are formatted only when it is
 raised.  A ceiling too tall for these quantities to be floats (a constant
 one over the unit-radius disk from a height of about 177) is a
 ``DomainError`` naming its height, in all three disk integrals.
+
+The nice height is the one root found here.  sinh 2H + 2H is increasing
+and convex, so ``nice_height`` runs Newton's method from a start to the
+right of the root, which descends onto it without overshooting, and
+certifies the result with one evaluation a tolerance below it: a few sinh
+evaluations per check where a bracketing search took about 23.
 """
 
 from __future__ import annotations
@@ -67,9 +77,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InequalityViolation
+from .errors import ConvergenceError, DomainError, InequalityViolation
 from .errors import require_finite, require_nonnegative, require_positive
-from .numerics import DEFAULT_TOLERANCE, Bracket, Tolerance, constant_H, find_root
+from .numerics import DEFAULT_TOLERANCE, Tolerance, constant_H
 from .numerics import _NODE_COUNTS, _converge, _leggauss
 
 __all__ = [
@@ -140,7 +150,8 @@ class CeilingFunction:
 
     ``height(r, theta)`` returns g and ``gradient(r, theta)`` returns the
     pair (g_r, g_theta).  The quadratures call both on the node grid: r an
-    (n, 1) column of radii and theta a (1, 2n) row of angles.  They may
+    (n, 1) column of radii and theta a (1, 2n) row of angles, both
+    read-only, the same pair for both calls of one order.  They may
     return scalars or arrays of any shape that broadcasts against (r, theta),
     because the quadratures broadcast only the densities built from them.
     ``random_smooth_ceiling`` sums its modes as one matrix product and
@@ -201,8 +212,11 @@ def _midpoint_angles(n: int) -> np.ndarray:
 
 
 def _disk_grid(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Order-``n`` disk nodes: Gauss radii as a column, 2n angles as a row."""
-    return radius * _unit_nodes(n)[0][:, None], _midpoint_angles(n)
+    """Order-``n`` disk nodes: Gauss radii as a column, 2n angles as a row,
+    both read-only."""
+    r = radius * _unit_nodes(n)[0][:, None]
+    r.flags.writeable = False
+    return r, _midpoint_angles(n)
 
 
 def _disk_quadrature(
@@ -215,9 +229,9 @@ def _disk_quadrature(
     """Integrate each of ``densities(ceiling, r, theta)`` over [0, radius] x [0, 2 pi].
 
     ``densities`` returns one array per quantity named in ``quantities``,
-    each broadcastable to the (n, 2n) node grid and already including every
-    metric factor, so one evaluation of the nodes per order feeds every
-    integral.  Gauss panels in r, periodic midpoints in theta, orders raised
+    each the (n, 2n) node grid or an (n, 1) column constant in theta, and
+    already including every metric factor, so one evaluation of the nodes
+    per order feeds every integral.  Gauss panels in r, periodic midpoints in theta, orders raised
     by ``_converge``.  The rule runs with numpy overflow raised: a ceiling
     too tall for its densities to be floats is a ``DomainError`` naming its
     height.
@@ -229,9 +243,9 @@ def _disk_quadrature(
         weights = (2.0 * math.pi / m) * radius * w
         totals = []
         for values in densities(ceiling, *_disk_grid(n, radius)):
-            if np.shape(values) != (n, m):  # a density constant in theta
-                values = np.broadcast_to(values, (n, m))
-            totals.append(float(weights @ values.sum(axis=1)))
+            if values.shape != (n, m):  # an (n, 1) density, constant in theta
+                values = np.repeat(values, m, axis=1)
+            totals.append(float(weights @ np.add.reduce(values, axis=1)))
         return tuple(totals)
 
     def what() -> tuple[str, ...]:
@@ -380,32 +394,66 @@ def ceiling_area(
 # Largest nice height tried: sinh 2H stays a float up to about 354.9.
 _MAX_HEIGHT = 0.5 * math.log(sys.float_info.max)
 
+# Step budget of ``nice_height``: each step is one sinh evaluation, a Newton
+# step or a certifying probe.  At the default tolerance and at 1e-3 it
+# takes at most ten.
+_NEWTON_STEPS = 32
+
 
 def nice_height(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Height H >= 0 of the constant-ceiling room with volume V over area A_F.
 
-    Solves sinh 2H + 2H = 4 V / A_F.  The bracket [0, hi] doubles from
-    hi = 1 but stops at ``_MAX_HEIGHT``, where sinh 2H is still a float; a
-    right-hand side whose root lies beyond it is a ``DomainError``.
+    Solves f(H) = sinh 2H + 2H - 4 V / A_F = 0 by Newton's method.  f is
+    increasing and convex on H >= 0, and f >= 0 at both rhs/4 and
+    asinh(rhs)/2, so Newton started at the smaller of them descends onto
+    the root without overshooting it.  The start is capped at
+    ``_MAX_HEIGHT``, where sinh 2H is still a float; a right-hand side whose
+    root lies beyond it is a ``DomainError``.  Once a step lands within
+    ``tol.bound`` of the last point where f >= 0, one more evaluation
+    certifies it, f(H - tol.bound(H)) <= 0 (or, where rounding leaves H just
+    below the root, f(H + tol.bound(H)) >= 0), so H lies within
+    ``tol.bound`` of a sign change, the guarantee ``find_root`` gives.  A
+    budget of ``_NEWTON_STEPS`` steps that does not suffice is a
+    ``ConvergenceError`` naming the right-hand side and the last step.
     """
     require_finite(require_nonnegative(V, "volume"), "volume")
     require_finite(require_positive(A_F, "floor area"), "floor area")
     if V == 0.0:
         return 0.0
     rhs = 4.0 * V / A_F
-
-    def f(h: float) -> float:
-        return math.sinh(2.0 * h) + 2.0 * h - rhs
-
-    hi = 1.0
-    while f(hi) <= 0.0:
-        if hi == _MAX_HEIGHT:
+    # h is the estimate.  It is returned once points with f <= 0 and f >= 0
+    # lie within bound(h) below and above it; f is evaluated at h, or at
+    # h -+ bound(h) to certify the one side still open.
+    h = min(0.25 * rhs, 0.5 * math.asinh(rhs), _MAX_HEIGHT)
+    below, above = 0.0, math.inf  # f(below) <= 0 <= f(above)
+    for _ in range(_NEWTON_STEPS):
+        bound = tol.bound(h)
+        if above <= h + bound:
+            if below >= h - bound:
+                return h
+            x = h - bound
+        elif below >= h - bound:
+            x = min(h + bound, _MAX_HEIGHT)
+        else:
+            x = h
+        s = math.sinh(2.0 * x)
+        fx = s + 2.0 * x - rhs
+        if fx >= 0.0:
+            above = x
+        elif x == _MAX_HEIGHT:
             raise DomainError(
                 f"nice height overflows: sinh 2H + 2H = 4 V / A_F = {rhs:.6g} needs "
                 f"H above {_MAX_HEIGHT:.6g} (volume {V}, floor area {A_F})"
             )
-        hi = min(2.0 * hi, _MAX_HEIGHT)
-    return find_root(f, Bracket(0.0, hi), tol)
+        if fx <= 0.0:
+            below = x
+        if x == h or (fx > 0.0) == (x < h):  # not a probe that closed its side
+            step = fx / (2.0 * (math.hypot(1.0, s) + 1.0))  # f / f', f' = 2 cosh 2x + 2
+            h = x - step
+    raise ConvergenceError(
+        f"nice height not certified in {_NEWTON_STEPS} steps: "
+        f"sinh 2H + 2H = 4 V / A_F = {rhs!r}, last step {step:.3g} to H = {h!r}"
+    )
 
 
 def nice_ceiling_area(V: float, A_F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
@@ -511,7 +559,10 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
     graph smooth there.  The height and its gradient sum the modes as one
     matrix product of an (n, modes) radial matrix and a (modes, m) angular
     matrix, so they take r as an (n, 1) column and theta as a (1, m) row,
-    the quadrature grid; any other shape is a ``DomainError``.
+    the quadrature grid; any other shape is a ``DomainError``.  tanh r and
+    the cos and sin of the mode angles are computed once per grid and
+    shared by both: the last read-only (r, theta) pair is remembered by
+    identity, and any other pair is evaluated afresh.
     """
     base = float(rng.uniform(0.6, 1.4))
     n_modes = int(rng.integers(1, 4))
@@ -522,28 +573,41 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
 
     f = freqs.astype(float)
     f_col, phase_col = f[:, None], phases[:, None]
+    amps_f, f_less_1 = amps * f, f - 1.0
+    last = None  # (r, theta, trig values) of the last read-only grid
 
-    def tanh_and_angles(r, theta):
-        """tanh r as an (n, 1) column and the (modes, m) mode angles f theta + phase."""
+    def grid_trig(r, theta):
+        """tanh r as an (n, 1) column and cos, sin of the (modes, m) mode
+        angles f theta + phase, shared by ``height`` and ``gradient``."""
+        nonlocal last
+        entry = last  # read once: a concurrent call cannot mix two grids
+        if entry is not None and r is entry[0] and theta is entry[1]:
+            return entry[2]
         r_shape, theta_shape = np.shape(r), np.shape(theta)
         if len(r_shape) != 2 or r_shape[1] != 1 or len(theta_shape) != 2 or theta_shape[0] != 1:
             raise DomainError(
                 "a random ceiling is evaluated on a grid: r an (n, 1) column and "
                 f"theta a (1, m) row, got shapes {r_shape} and {theta_shape}"
             )
-        return np.tanh(r), f_col * theta + phase_col
+        angles = f_col * theta + phase_col
+        values = np.tanh(r), np.cos(angles), np.sin(angles)
+        # Only a grid that cannot change in place is remembered by identity.
+        if (isinstance(r, np.ndarray) and isinstance(theta, np.ndarray)
+                and not (r.flags.writeable or theta.flags.writeable)):
+            last = r, theta, values
+        return values
 
     def height(r, theta):
-        t, angles = tanh_and_angles(r, theta)
-        g = (amps * t**f) @ np.cos(angles)
+        t, cos, _ = grid_trig(r, theta)
+        g = (amps * t**f) @ cos
         g += base
         return g
 
     def gradient(r, theta):
-        t, angles = tanh_and_angles(r, theta)
-        d_dt = amps * f * t ** (f - 1.0)  # of each mode's radial profile amps t^f
-        g_r = (d_dt * (1.0 - t * t)) @ np.cos(angles)
-        g_t = (-d_dt * t) @ np.sin(angles)
+        t, cos, sin = grid_trig(r, theta)
+        d_dt = amps_f * t**f_less_1  # of each mode's radial profile amps t^f
+        g_r = (d_dt * (1.0 - t * t)) @ cos
+        g_t = (-d_dt * t) @ sin
         return g_r, g_t
 
     return CeilingFunction(height=height, gradient=gradient)

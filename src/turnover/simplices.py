@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_finite, require_positive
 from .numerics import _fixed_rule, lobachevsky
 from .trig import TurnoverSignature, hexagon_side, turnover_area
 
@@ -250,7 +250,7 @@ def return_path_theta(case: ReturnPathCase) -> float:
 
 def miyamoto_lower_bound(boundary_area: float, length: float) -> float:
     """Volume lower bound rho3(l/2) * boundary_area from return-path length l."""
-    require_positive(boundary_area, "boundary area")
+    require_finite(require_positive(boundary_area, "boundary area"), "boundary area")
     return rho3(length / 2.0) * boundary_area
 
 
@@ -261,5 +261,5 @@ def length_from_disk_radius(disk_r: float) -> float:
     cosh l >= cosh 2r / (cosh 2r - 1); this returns the equality value,
     ``hexagon_side(2r, 2r)``.
     """
-    require_positive(disk_r, "disk radius")
+    require_finite(require_positive(disk_r, "disk radius"), "disk radius")
     return hexagon_side(2.0 * disk_r, 2.0 * disk_r)

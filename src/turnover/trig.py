@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_finite, require_positive
 
 __all__ = [
     "MAX_CONE_ORDER",
@@ -207,11 +207,11 @@ def hexagon_side(l: float, l_prime: float) -> float:
     cosh d = (cosh^2 l + cosh l') / sinh^2 l, which is at least
     cosh l / (cosh l - 1), with equality exactly at l' = l.  Evaluated as
     sinh(d/2) = cosh(l'/2) / sinh l, the same law without the cancellation
-    in cosh d - 1.  Sides for which a term leaves float range raise
-    ``DomainError``.
+    in cosh d - 1.  An infinite side, and sides for which a term leaves
+    float range, raise ``DomainError``.
     """
-    require_positive(l, "hexagon side")
-    require_positive(l_prime, "hexagon side")
+    require_finite(require_positive(l, "hexagon side"), "hexagon side")
+    require_finite(require_positive(l_prime, "hexagon side"), "hexagon side")
     try:
         d = 2.0 * math.asinh(math.cosh(0.5 * l_prime) / math.sinh(l))
         if math.isfinite(d):

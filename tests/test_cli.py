@@ -13,10 +13,10 @@ import pytest
 import turnover
 from turnover.cli import main
 
-# room-check --seed 1 --count 2 worst_margin (quadratures and find_root) at
+# room-check --seed 1 --count 2 worst_margin (quadratures and nice_height) at
 # the default tolerance and at --tol 1e-3.
-WORST_MARGIN_SEED1_DEFAULT = 1.2463756125535497
-WORST_MARGIN_SEED1_LOOSE = 1.2501923729976667
+WORST_MARGIN_SEED1_DEFAULT = 1.2463756125499952
+WORST_MARGIN_SEED1_LOOSE = 1.2463759451431518
 ROOM_CHECK = ("room-check", "--seed", "1", "--count", "2")
 
 
@@ -247,7 +247,7 @@ class TestRoomCheck:
                            "records": [{"V": 3.17403585432937e+152,
                                         "A_C": 6.348071708658741e+152,
                                         "A_S": 6.34807170865874e+152,
-                                        "H_equiv": 175.99999999999403,
+                                        "H_equiv": 176.0,
                                         "margin": 9.303535670983768e+136}]}
 
     @pytest.mark.parametrize("height", ["178", "400"])

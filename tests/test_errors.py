@@ -29,7 +29,7 @@ CHECKS = [
     ("exclusion_by_volume", lambda x: exclusion_by_volume(x, SIG, True),
      "orbifold volume", "positive", FINITE),
     ("RefinementInput", lambda x: RefinementInput(SIG, 5, "disk", x),
-     "refinement input", "positive", None),
+     "refinement input", "positive", FINITE),
     ("Tolerance.abs_tol", lambda x: Tolerance(x, 1e-12), "abs_tol", "positive", FINITE),
     ("Tolerance.rel_tol", lambda x: Tolerance(1e-12, x), "rel_tol", ">= 0", FINITE),
     ("PolarDisk", PolarDisk, "disk radius", "positive", FINITE),
@@ -41,13 +41,13 @@ CHECKS = [
     ("angle_from_edge", angle_from_edge, "edge length", "positive", "rounds onto pi/3"),
     ("rho3", rho3, "half edge length", "positive", "rounds onto pi/3"),
     ("miyamoto_lower_bound", lambda x: miyamoto_lower_bound(x, 1.0),
-     "boundary area", "positive", None),
+     "boundary area", "positive", FINITE),
     ("length_from_disk_radius", length_from_disk_radius,
-     "disk radius", "positive", "outside float range"),
+     "disk radius", "positive", FINITE),
     ("lambert_leg_bound", lambert_leg_bound, "leg-bound base length", "positive", None),
-    ("hexagon_side.l", lambda x: hexagon_side(x, 1.0), "hexagon side", "positive", None),
+    ("hexagon_side.l", lambda x: hexagon_side(x, 1.0), "hexagon side", "positive", FINITE),
     ("hexagon_side.l_prime", lambda x: hexagon_side(1.0, x),
-     "hexagon side", "positive", "outside float range"),
+     "hexagon side", "positive", FINITE),
 ]
 PARAMS = pytest.mark.parametrize(
     "call, what, bound, at_inf", [row[1:] for row in CHECKS], ids=[row[0] for row in CHECKS]

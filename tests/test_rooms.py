@@ -8,9 +8,12 @@ never touches the production quadrature path.
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turnover import rooms
 from turnover.errors import ConvergenceError, DomainError
@@ -247,6 +250,35 @@ class TestNiceRoom:
         with pytest.raises(DomainError, match=r"^floor area is not a number \(nan\)"):
             nice_height(1.0, math.nan)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_V=st.floats(min_value=-300.0, max_value=300.0),
+        log_A_F=st.floats(min_value=-300.0, max_value=300.0),
+        tol=st.sampled_from([Tolerance(), Tolerance(1e-3, 1e-3)]),
+    )
+    def test_newton_height_is_certified_within_ten_sinh(self, log_V, log_A_F, tol):
+        V, A_F = 10.0**log_V, 10.0**log_A_F
+        rhs = 4.0 * V / A_F
+
+        def f(h):
+            return math.sinh(2.0 * h) + 2.0 * h - rhs
+
+        if not f(rooms._MAX_HEIGHT) >= 0.0:  # the root is no float: a DomainError
+            with pytest.raises(DomainError, match=r"^nice height overflows"):
+                nice_height(V, A_F, tol)
+            return
+        with mock.patch.object(math, "sinh", wraps=math.sinh) as sinh:
+            H = nice_height(V, A_F, tol)
+        bound = tol.bound(H)
+        assert f(H - bound) <= 0.0 <= f(H + bound)
+        assert sinh.call_count <= 10
+
+    def test_unmeetable_tolerance_names_the_right_hand_side(self):
+        # No float in reach of the root of sinh 2H + 2H = 40 is an exact zero.
+        message = r"^nice height not certified .* = 40\.0, last step"
+        with pytest.raises(ConvergenceError, match=message):
+            nice_height(10.0, 1.0, Tolerance(1e-300, 0.0))
+
 
 class TestConstantHAndRatio:
     def test_constant_value(self):
@@ -445,6 +477,44 @@ class TestRandomCeiling:
             ceiling.height(np.full((3, 2), 0.5), np.zeros((1, 4)))
 
 
+class TestGridTrigMemo:
+    """A random ceiling computes tanh r and the mode angles' cos and sin once
+    per read-only grid, shared by ``height`` and ``gradient``."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grid_b_after_grid_a_equals_a_fresh_ceiling(self, seed):
+        ceiling = random_smooth_ceiling(np.random.default_rng(seed))
+        grids = (rooms._disk_grid(16, 1.0), rooms._disk_grid(24, 1.2),
+                 rooms._disk_grid(24, 0.7))  # the last two share one theta row
+        for r, t in grids:
+            fresh = random_smooth_ceiling(np.random.default_rng(seed))
+            for first, second in ((ceiling.height(r, t), fresh.height(r, t)),
+                                  *zip(ceiling.gradient(r, t), fresh.gradient(r, t))):
+                np.testing.assert_array_equal(first, second)
+
+    def test_one_trig_pass_per_read_only_grid(self, monkeypatch):
+        ceiling = random_smooth_ceiling(np.random.default_rng(4))
+        calls = []
+        tanh = np.tanh
+        monkeypatch.setattr(np, "tanh", lambda r: calls.append(r) or tanh(r))
+        r, t = rooms._disk_grid(32, 1.1)
+        ceiling.height(r, t)
+        ceiling.gradient(r, t)
+        assert len(calls) == 1
+        writable = np.array(r)
+        ceiling.height(writable, t)
+        ceiling.gradient(writable, t)
+        assert len(calls) == 3
+
+    def test_a_writable_grid_changed_in_place_is_evaluated_anew(self):
+        ceiling = random_smooth_ceiling(np.random.default_rng(8))
+        r, t = np.array(rooms._disk_grid(16, 1.0)[0]), rooms._disk_grid(16, 1.0)[1]
+        ceiling.height(r, t)
+        r *= 1.3
+        fresh = random_smooth_ceiling(np.random.default_rng(8))
+        np.testing.assert_array_equal(ceiling.height(r, t), fresh.height(r, t))
+
+
 def on_full_grid(ceiling):
     """``ceiling`` with every value broadcast to the full (n, 2n) grid."""
 
@@ -499,6 +569,27 @@ def counting_ceiling(ceiling):
         return ceiling.gradient(r, t)
 
     return CeilingFunction(height, gradient), calls
+
+
+def test_theta_constant_density_sums_like_broadcast_to(monkeypatch):
+    """An (n, 1) density is repeated across the 2n angles and summed; every
+    order's estimate equals the sum of the broadcast grid bit for bit."""
+    rng = np.random.default_rng(20)
+    radius = 1.3
+    columns = {n: [rng.standard_normal((n, 1)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1))
+                   for _ in range(50)] for n in _NODE_COUNTS}
+    monkeypatch.setattr(
+        rooms, "_converge", lambda estimate, tol, what: [estimate(n) for n in _NODE_COUNTS]
+    )
+    estimates = rooms._disk_quadrature(
+        lambda ceiling, r, theta: columns[r.shape[0]], None, radius, Tolerance(), ()
+    )
+    for n, got in zip(_NODE_COUNTS, estimates):
+        m = 2 * n
+        weights = (2.0 * math.pi / m) * radius * rooms._unit_nodes(n)[1]
+        expected = tuple(float(weights @ np.broadcast_to(values, (n, m)).sum(axis=1))
+                         for values in columns[n])
+        assert got == expected, n
 
 
 class TestFusedRoomIntegrals:
