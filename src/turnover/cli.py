@@ -8,6 +8,14 @@ Every subcommand takes ``--json``.  Only ``room-check`` iterates to a
 tolerance, so only it takes ``--tol`` and ``--seed``; on any other
 command either flag is a usage error.
 
+Each command imports only the modules it runs, inside its handler:
+``area`` and ``classify`` need nothing past ``trig``; ``delta``,
+``orders`` and ``supergroups`` load ``collars``; ``rho3`` loads
+``simplices``; ``bounds``, ``candidates``, ``analyze``, ``census`` and
+``registry`` load ``engine``; ``room-check`` loads ``rooms`` and so numpy.
+Each run is a fresh process, so this spares a command compiling and
+executing the modules it never calls.
+
 Exit codes: 0 success, 2 usage or domain error, 3 numeric failure
 (non-convergence or a violated theorem-backed inequality).
 """
@@ -18,10 +26,9 @@ import argparse
 import json
 import sys
 
-from . import collars, engine, trig
+from . import trig
 from .errors import ConvergenceError, DomainError, InequalityViolation
 from .numerics import DEFAULT_TOLERANCE, Tolerance
-from .simplices import TruncatedSimplexSpec
 from .trig import TurnoverSignature
 
 EXIT_OK = 0
@@ -59,6 +66,7 @@ def _cmd_classify(args):
 
 
 def _cmd_delta(args):
+    from . import collars
     pair = collars.EllipticPair(args.n, args.m)
     payload = {
         "n": pair.n,
@@ -74,6 +82,7 @@ def _cmd_delta(args):
 
 
 def _cmd_orders(args):
+    from . import collars
     sig = _signature(args)
     report = collars.boundary_order_report(sig)
     universe = [row["order"] for row in report]
@@ -93,6 +102,7 @@ def _cmd_orders(args):
 
 
 def _cmd_supergroups(args):
+    from . import collars
     orders = (args.p, args.q, args.r)
     if args.table:
         if orders != (None, None, None):
@@ -126,6 +136,7 @@ def _cmd_supergroups(args):
 
 
 def _cmd_bounds(args):
+    from . import engine
     ledger = engine.make_ledger(_signature(args), args.ext)
     payload = {
         "signature": list(ledger.sig.orders),
@@ -147,6 +158,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_candidates(args):
+    from . import collars, engine
     sig = _signature(args)
     ledger = engine.make_ledger(sig, args.ext)
     orders = collars.refined_boundary_orders(sig)
@@ -162,6 +174,7 @@ def _cmd_candidates(args):
 
 
 def _cmd_analyze(args):
+    from . import engine
     report = engine.analyze(_signature(args), args.ext)
     payload = report.to_dict()
     text = [
@@ -189,6 +202,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_census(args):
+    from . import engine
     if args.max_order < 2:
         raise DomainError(f"max order must be >= 2, got {args.max_order}")
     rows = []
@@ -212,6 +226,7 @@ def _cmd_census(args):
 
 
 def _cmd_rho3(args):
+    from .simplices import TruncatedSimplexSpec
     if (args.theta is None) == (args.edge is None):
         raise DomainError("give exactly one of --theta or --edge")
     if args.theta is not None:
@@ -234,7 +249,7 @@ def _cmd_rho3(args):
 
 
 def _cmd_room_check(args):
-    from . import rooms  # imported here: rooms loads numpy, which no other command needs
+    from . import rooms
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
     tol = DEFAULT_TOLERANCE if args.tol is None else Tolerance(args.tol, args.tol)
@@ -256,6 +271,7 @@ def _cmd_room_check(args):
 
 
 def _cmd_registry(args):
+    from . import engine
     payload = {"registry": engine.registry_json()}
     text = []
     for row in payload["registry"]:

@@ -476,6 +476,11 @@ class RegistryEntry:
     reflection extension (halving its budgets), and ``has_embedded``
     whether the orbifold is known to contain embedded turnovers (switching
     which budget applies).
+
+    ``edge_orders`` lists a tetrahedron's six dihedral orders as
+    (A, B, C, D, E, F): A, B, C on the edges at one vertex, and D, E, F on
+    the edges opposite them, so the four vertex links are (A, B, C),
+    (A, E, F), (B, D, F) and (C, D, E).
     """
 
     name: str

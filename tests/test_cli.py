@@ -1,6 +1,7 @@
 """Tests for the command line front end: payloads, text/JSON agreement,
 and exit codes (0 success, 2 usage/domain, 3 numeric failure)."""
 
+import argparse
 import json
 import math
 import os
@@ -11,13 +12,37 @@ from pathlib import Path
 import pytest
 
 import turnover
-from turnover.cli import main
+from turnover.cli import build_parser, main
 
 # room-check --seed 1 --count 2 worst_margin (quadratures and nice_height) at
 # the default tolerance and at --tol 1e-3.
 WORST_MARGIN_SEED1_DEFAULT = 1.2463756125499952
 WORST_MARGIN_SEED1_LOOSE = 1.2463759451431518
 ROOM_CHECK = ("room-check", "--seed", "1", "--count", "2")
+
+# The turnover modules each command loads in a fresh interpreter.
+TRIG_ONLY = {"turnover", "turnover.cli", "turnover.errors", "turnover.numerics",
+             "turnover.trig"}
+WITH_COLLARS = TRIG_ONLY | {"turnover.collars"}
+WITH_SIMPLICES = TRIG_ONLY | {"turnover.simplices"}
+WITH_ENGINE = WITH_COLLARS | WITH_SIMPLICES | {"turnover.engine"}
+WITH_ROOMS = TRIG_ONLY | {"turnover.rooms"}
+
+# One small invocation of every subcommand: (arguments, modules loaded).
+COMMANDS = {
+    "area": (["2", "4", "5"], TRIG_ONLY),
+    "classify": (["2", "4", "5"], TRIG_ONLY),
+    "delta": (["5", "5"], WITH_COLLARS),
+    "orders": (["2", "4", "5"], WITH_COLLARS),
+    "supergroups": (["--table"], WITH_COLLARS),
+    "bounds": (["2", "4", "5"], WITH_ENGINE),
+    "candidates": (["2", "4", "5"], WITH_ENGINE),
+    "analyze": (["2", "4", "5"], WITH_ENGINE),
+    "census": (["--max-order", "5"], WITH_ENGINE),
+    "rho3": (["--theta", "0.5"], WITH_SIMPLICES),
+    "room-check": (["--count", "2", "--seed", "0"], WITH_ROOMS),
+    "registry": ([], WITH_ENGINE),
+}
 
 
 def run(capsys, *argv):
@@ -307,38 +332,41 @@ class TestGlobalFlags:
         assert code == 2
 
     def test_every_command_emits_valid_json(self, capsys):
-        commands = [
-            ["area", "2", "4", "5"],
-            ["classify", "2", "4", "5"],
-            ["delta", "5", "5"],
-            ["orders", "2", "4", "5"],
-            ["supergroups", "--table"],
-            ["bounds", "2", "4", "5"],
-            ["candidates", "2", "4", "5"],
-            ["analyze", "2", "4", "5"],
-            ["rho3", "--theta", "0.5"],
-            ["room-check", "--count", "2", "--seed", "0"],
-            ["registry"],
-        ]
-        for argv in commands:
-            payload = run_json(capsys, *argv)
+        """Runs every subcommand the parser knows; one missing from
+        COMMANDS fails here rather than going untested."""
+        action = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        for command in action.choices:
+            payload = run_json(capsys, command, *COMMANDS[command][0])
             assert isinstance(payload, dict)
 
 
-def test_analysis_commands_never_load_numpy():
-    """Only room-check needs numpy; a fresh interpreter running the analysis
-    commands must not import it."""
+@pytest.mark.parametrize("command", [None, *COMMANDS], ids=lambda c: c or "parser")
+def test_each_command_imports_only_what_it_runs(command):
+    """A fresh interpreter running one command loads exactly the turnover
+    modules that command calls, and numpy only for room-check.  With no
+    command, ``import turnover.cli`` and ``build_parser()`` load ``cli``
+    and what the package ``__init__`` imports, nothing more."""
+    argv, expected = COMMANDS[command] if command else ([], TRIG_ONLY)
     program = "\n".join([
-        "import sys",
-        "from turnover.cli import main",
-        "for argv in (['analyze', '2', '4', '5', '--json'], ['bounds', '2', '4', '5'],",
-        "             ['rho3', '--theta', '0.785']):",
-        "    assert main(argv) == 0, argv",
-        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        "import contextlib, io, json, sys",
+        "from turnover.cli import build_parser, main",
+        "build_parser()",
+        "argv = json.loads(sys.argv[1])",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = main(argv) if argv else 0",
+        "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules,",
+        "                  'modules': sorted(m for m in sys.modules",
+        "                                    if m.split('.')[0] == 'turnover')}))",
     ])
     env = dict(os.environ)
     src = str(Path(turnover.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
-                          text=True, env=env)
+    full_argv = [command, *argv] if command else []
+    proc = subprocess.run([sys.executable, "-c", program, json.dumps(full_argv)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stderr
+    assert set(result["modules"]) == expected
+    assert result["numpy"] == (command == "room-check")

@@ -638,6 +638,16 @@ class TestRegistry:
         assert volumes["Q(2,4,7)"] == pytest.approx(0.325947, abs=1e-9)
         assert volumes["Q(2,4,inf)"] == pytest.approx(0.501921, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["O8", "O9"])
+    def test_compact_tetrahedra_have_spherical_vertex_links(self, name):
+        """Read as (A, B, C) at one vertex and (D, E, F) opposite, the edge
+        orders give four spherical vertex links, as a compact tetrahedron
+        must."""
+        entry = next(e for e in registry() if e.name == name)
+        a, b, c, d, e, f = entry.edge_orders
+        links = [(a, b, c), (a, e, f), (b, d, f), (c, d, e)]
+        assert [classify(sig(*link)) for link in links] == [GeometryClass.SPHERICAL] * 4
+
     def test_consistency_with_volume_caps(self):
         """No registry entry contradicts its own volume cap: each cited
         immersed turnover's budget (with the entry's extension index, and
