@@ -1,7 +1,11 @@
 """Hyperbolic turnover computations.
 
+The package has no top-level API: import each name from the module that
+defines it, e.g. ``from turnover.engine import analyze``.
+
 Library layout:
 
+* ``errors``    -- the exception types and the one real-domain check.
 * ``numerics``  -- tolerances, bracketing root finder, H*, the one
                    Gauss-Legendre quadrature path (pure-Python nodes,
                    order-raising loop, fixed rule), the Lobachevsky integral.
@@ -17,43 +21,3 @@ Library layout:
                    volume exclusions, the orbifold registry.
 * ``cli``       -- the ``turnover`` command.
 """
-
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    InequalityViolation,
-    TurnoverError,
-)
-from .numerics import Bracket, Tolerance, find_root, integrate, lobachevsky
-from .trig import (
-    GeometryClass,
-    TriangleGeometry,
-    TurnoverSignature,
-    classify,
-    hexagon_side,
-    lambert_leg_bound,
-    triangle_geometry,
-    turnover_area,
-)
-
-__all__ = [
-    "TurnoverError",
-    "DomainError",
-    "BracketError",
-    "ConvergenceError",
-    "InequalityViolation",
-    "Tolerance",
-    "Bracket",
-    "find_root",
-    "integrate",
-    "lobachevsky",
-    "TurnoverSignature",
-    "GeometryClass",
-    "TriangleGeometry",
-    "classify",
-    "turnover_area",
-    "triangle_geometry",
-    "lambert_leg_bound",
-    "hexagon_side",
-]

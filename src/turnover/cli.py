@@ -8,13 +8,9 @@ Every subcommand takes ``--json``.  Only ``room-check`` iterates to a
 tolerance, so only it takes ``--tol`` and ``--seed``; on any other
 command either flag is a usage error.
 
-Each command imports only the modules it runs, inside its handler:
-``area`` and ``classify`` need nothing past ``trig``; ``delta``,
-``orders`` and ``supergroups`` load ``collars``; ``rho3`` loads
-``simplices``; ``bounds``, ``candidates``, ``analyze``, ``census`` and
-``registry`` load ``engine``; ``room-check`` loads ``rooms`` and so numpy.
-Each run is a fresh process, so this spares a command compiling and
-executing the modules it never calls.
+Each command imports the modules it runs inside its handler, and the
+package ``__init__`` imports nothing: each run is a fresh process, so this
+spares a command compiling and executing the modules it never calls.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numeric failure
 (non-convergence or a violated theorem-backed inequality).
@@ -28,8 +24,6 @@ import sys
 
 from . import trig
 from .errors import ConvergenceError, DomainError, InequalityViolation
-from .numerics import DEFAULT_TOLERANCE, Tolerance
-from .trig import TurnoverSignature
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,8 +34,8 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _signature(args) -> TurnoverSignature:
-    return TurnoverSignature(args.p, args.q, args.r)
+def _signature(args) -> trig.TurnoverSignature:
+    return trig.TurnoverSignature(args.p, args.q, args.r)
 
 
 # --- subcommand payload builders: args -> (payload dict, text lines) ---
@@ -116,7 +110,7 @@ def _cmd_supergroups(args):
         return payload, text
     if None in orders:
         raise DomainError("supergroups needs p q r, or --table")
-    sig = TurnoverSignature(*orders)
+    sig = trig.TurnoverSignature(*orders)
     rows = collars.supergroups(sig)
     payload = {
         "signature": list(sig.orders),
@@ -250,6 +244,7 @@ def _cmd_rho3(args):
 
 def _cmd_room_check(args):
     from . import rooms
+    from .numerics import DEFAULT_TOLERANCE, Tolerance
     if args.count < 1:
         raise DomainError(f"count must be >= 1, got {args.count}")
     tol = DEFAULT_TOLERANCE if args.tol is None else Tolerance(args.tol, args.tol)

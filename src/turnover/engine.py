@@ -484,7 +484,6 @@ class RegistryEntry:
     """
 
     name: str
-    kind: str  # "tetrahedral" | "prism"
     edge_orders: tuple[int, ...] | None
     prism_orders: tuple[int | None, ...] | None
     volume: float | None
@@ -493,6 +492,10 @@ class RegistryEntry:
     known_embedded: tuple[TurnoverSignature, ...] = ()
     extension_index: int = 1
     has_embedded: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "tetrahedral" if self.edge_orders else "prism"
 
     def to_dict(self) -> dict:
         return {
@@ -512,7 +515,6 @@ class RegistryEntry:
 _REGISTRY: tuple[RegistryEntry, ...] = (
     RegistryEntry(
         name="Q3",
-        kind="tetrahedral",
         edge_orders=(2, 4, 2, 3, 5, 3),
         prism_orders=None,
         volume=0.071770,
@@ -523,7 +525,6 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
     ),
     RegistryEntry(
         name="Q10",
-        kind="tetrahedral",
         edge_orders=(2, 4, 2, 3, 6, 3),
         prism_orders=None,
         volume=0.211446,
@@ -534,7 +535,6 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
     ),
     RegistryEntry(
         name="O8",
-        kind="tetrahedral",
         edge_orders=(2, 3, 4, 2, 3, 5),
         prism_orders=None,
         volume=0.717306,
@@ -545,7 +545,6 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
     ),
     RegistryEntry(
         name="O9",
-        kind="tetrahedral",
         edge_orders=(2, 3, 5, 2, 3, 5),
         prism_orders=None,
         volume=1.004261,
@@ -556,7 +555,6 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
     ),
     RegistryEntry(
         name="Q(2,4,7)",
-        kind="prism",
         edge_orders=None,
         prism_orders=(2, 4, 7),
         volume=0.325947,
@@ -568,7 +566,6 @@ _REGISTRY: tuple[RegistryEntry, ...] = (
     ),
     RegistryEntry(
         name="Q(2,4,inf)",
-        kind="prism",
         edge_orders=None,
         prism_orders=(2, 4, None),
         volume=0.501921,

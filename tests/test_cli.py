@@ -21,12 +21,11 @@ WORST_MARGIN_SEED1_LOOSE = 1.2463759451431518
 ROOM_CHECK = ("room-check", "--seed", "1", "--count", "2")
 
 # The turnover modules each command loads in a fresh interpreter.
-TRIG_ONLY = {"turnover", "turnover.cli", "turnover.errors", "turnover.numerics",
-             "turnover.trig"}
+TRIG_ONLY = {"turnover", "turnover.cli", "turnover.errors", "turnover.trig"}
 WITH_COLLARS = TRIG_ONLY | {"turnover.collars"}
-WITH_SIMPLICES = TRIG_ONLY | {"turnover.simplices"}
+WITH_SIMPLICES = TRIG_ONLY | {"turnover.numerics", "turnover.simplices"}
 WITH_ENGINE = WITH_COLLARS | WITH_SIMPLICES | {"turnover.engine"}
-WITH_ROOMS = TRIG_ONLY | {"turnover.rooms"}
+WITH_ROOMS = TRIG_ONLY | {"turnover.numerics", "turnover.rooms"}
 
 # One small invocation of every subcommand: (arguments, modules loaded).
 COMMANDS = {
@@ -42,6 +41,15 @@ COMMANDS = {
     "rho3": (["--theta", "0.5"], WITH_SIMPLICES),
     "room-check": (["--count", "2", "--seed", "0"], WITH_ROOMS),
     "registry": ([], WITH_ENGINE),
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# Results that README's CLI block quotes in its comments, by command line.
+README_QUOTES = {
+    "area 2 4 5": "hyperbolic, area = 0.3141592654",
+    "classify 3 3 3": "euclidean",
+    "delta 5 5": "delta(5,5) = 0.7361750878",
+    "analyze 2 4 5": "NoEmbeddedTurnovers",
 }
 
 
@@ -341,17 +349,42 @@ class TestGlobalFlags:
             assert isinstance(payload, dict)
 
 
-@pytest.mark.parametrize("command", [None, *COMMANDS], ids=lambda c: c or "parser")
+def test_readme_cli_block_runs_and_shows_what_it_quotes(capsys):
+    """Every ``turnover ...`` line of README's CLI block exits 0 with valid
+    JSON, and a result its comment quotes is in the text output."""
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line.partition("#") for line in block.splitlines()
+             if line.startswith("turnover ")]
+    assert len(lines) == 13
+    for command, _, comment in lines:
+        argv = command.split()[1:]
+        run_json(capsys, *argv)
+        quote = README_QUOTES.get(" ".join(argv))
+        if quote is not None:
+            code, out, _ = run(capsys, *argv)
+            assert quote in comment and code == 0 and quote in out
+    assert set(README_QUOTES) <= {" ".join(c.split()[1:]) for c, _, _ in lines}
+
+
+# Fresh-interpreter cases that run no command, and the modules they load.
+NO_COMMAND = {"package": {"turnover"}, "parser": TRIG_ONLY}
+
+
+@pytest.mark.parametrize("command", [*NO_COMMAND, *COMMANDS])
 def test_each_command_imports_only_what_it_runs(command):
     """A fresh interpreter running one command loads exactly the turnover
     modules that command calls, and numpy only for room-check.  With no
-    command, ``import turnover.cli`` and ``build_parser()`` load ``cli``
-    and what the package ``__init__`` imports, nothing more."""
-    argv, expected = COMMANDS[command] if command else ([], TRIG_ONLY)
+    command, ``import turnover.cli`` and ``build_parser()`` load ``cli``,
+    ``errors`` and ``trig``, and ``import turnover`` loads no submodule."""
+    if command in NO_COMMAND:
+        argv, expected = [], NO_COMMAND[command]
+    else:
+        argv, expected = [command, *COMMANDS[command][0]], COMMANDS[command][1]
+    head = ("import turnover" if command == "package"
+            else "from turnover.cli import build_parser, main\nbuild_parser()")
     program = "\n".join([
         "import contextlib, io, json, sys",
-        "from turnover.cli import build_parser, main",
-        "build_parser()",
+        head,
         "argv = json.loads(sys.argv[1])",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = main(argv) if argv else 0",
@@ -362,8 +395,7 @@ def test_each_command_imports_only_what_it_runs(command):
     env = dict(os.environ)
     src = str(Path(turnover.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    full_argv = [command, *argv] if command else []
-    proc = subprocess.run([sys.executable, "-c", program, json.dumps(full_argv)],
+    proc = subprocess.run([sys.executable, "-c", program, json.dumps(argv)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

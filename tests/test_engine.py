@@ -638,7 +638,17 @@ class TestRegistry:
         assert volumes["Q(2,4,7)"] == pytest.approx(0.325947, abs=1e-9)
         assert volumes["Q(2,4,inf)"] == pytest.approx(0.501921, abs=1e-9)
 
-    @pytest.mark.parametrize("name", ["O8", "O9"])
+    @pytest.mark.parametrize("name", [
+        "O8",
+        "O9",
+        # The stored edge orders of Q3 and Q10 are not a compact
+        # tetrahedron's; these pass once they are re-read from the paper.
+        pytest.param("Q3", marks=pytest.mark.xfail(
+            strict=True, reason="stored Q3 edge orders give a hyperbolic (3,3,4) link")),
+        pytest.param("Q10", marks=pytest.mark.xfail(
+            strict=True, reason="stored Q10 edge orders give a hyperbolic (3,3,4) "
+                                "and two euclidean (2,3,6) links")),
+    ])
     def test_compact_tetrahedra_have_spherical_vertex_links(self, name):
         """Read as (A, B, C) at one vertex and (D, E, F) opposite, the edge
         orders give four spherical vertex links, as a compact tetrahedron

@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from turnover.engine import make_ledger, order4_refinement
+from turnover.engine import Verdict, analyze, make_ledger, order4_refinement
 from turnover.errors import DomainError
 from turnover.simplices import (
     THETA_MAX,
@@ -27,7 +27,7 @@ from turnover.simplices import (
     rho3,
     truncated_simplex_volume,
 )
-from turnover.trig import TurnoverSignature
+from turnover.trig import TurnoverSignature, hyperbolic_signatures
 
 # mpmath, 40 digits
 EDGE_QUARTER_PI = 1.1283839649663011      # acosh(1/(2 - sqrt 2))
@@ -317,3 +317,37 @@ class TestLengthFromDiskRadius:
         """sinh(800) overflows; math.sinh raises rather than returning inf."""
         with pytest.raises(DomainError):
             length_from_disk_radius(400.0)
+
+
+class TestVerdictMargins:
+    """The tightest verdicts of the census at orders <= 12 (ext 1 and 2):
+    each float case bound agrees with a 30-digit mpmath value of
+    rho3(pi/d) * Area, d = 3 (1 - w chi) exact, to within 1% of its margin
+    from the cap, so float error cannot have flipped any of them."""
+
+    @staticmethod
+    def mp_bound(case) -> mpmath.mpf:
+        chi = case.boundary_sig.chi_fraction()
+        d = 3 * (1 - (Fraction(case.k) if case.closed else Fraction(case.k, 2)) * chi)
+        with mpmath.workdps(30):
+            theta = mpmath.pi * d.denominator / d.numerator
+            area = -2 * mpmath.pi * chi.numerator / chi.denominator
+            return mp_volume(theta) / (4 * (mpmath.pi - 3 * theta)) * area
+
+    def test_tightest_cases_match_mpmath_within_their_margin(self):
+        excluded, survivors = [], []
+        for ext in (1, 2):
+            for sig in hyperbolic_signatures(range(2, 13)):
+                report = analyze(sig, ext)
+                cap = report.ledger.upper_bound_with_boundary
+                for record in report.cases:
+                    margin = record.lower_bound - cap
+                    if record.verdict is Verdict.EXCLUDED:
+                        excluded.append((margin, record))
+                    else:
+                        survivors.append((-margin, record))
+        tightest = (sorted(excluded, key=lambda row: row[0])[:20]
+                    + sorted(survivors, key=lambda row: row[0])[:20])
+        for margin, record in tightest:
+            error = abs(record.lower_bound - float(self.mp_bound(record.case)))
+            assert error <= 0.01 * margin, (record.case, margin, error)
