@@ -5,7 +5,8 @@ defines it, e.g. ``from turnover.engine import analyze``.
 
 Library layout:
 
-* ``errors``    -- the exception types and the one real-domain check.
+* ``errors``    -- the exception types, the one real-domain check, and the
+                   mixin that keeps a checked record's checks on ``_replace``.
 * ``numerics``  -- tolerances, bracketing root finder, H*, the one
                    Gauss-Legendre quadrature path (pure-Python nodes,
                    order-raising loop, fixed rule), the Lobachevsky integral.

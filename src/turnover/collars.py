@@ -25,10 +25,10 @@ index-equals-area-ratio identity doubles as a transcription self-test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import count, permutations, takewhile
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import CheckedRecord, DomainError
 from .trig import (
     MAX_CONE_ORDER,
     TurnoverSignature,
@@ -53,24 +53,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EllipticPair:
-    """Unordered pair of elliptic orders, normalized so n >= max(3, m)."""
-
+class _PairFields(NamedTuple):
     n: int
     m: int
 
-    def __post_init__(self) -> None:
-        for v in (self.n, self.m):
+
+class EllipticPair(CheckedRecord, _PairFields):
+    """Unordered pair of elliptic orders, normalized so n >= max(3, m)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int) -> EllipticPair:
+        for v in (n, m):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise DomainError(f"elliptic order {v!r} is not an integer")
-        n, m = max(self.n, self.m), min(self.n, self.m)
+        n, m = max(n, m), min(n, m)
         if m < 2:
             raise DomainError(f"elliptic order {m} < 2")
         if n < max(3, m):
             raise DomainError(f"pair ({n},{m}) needs n >= max(3, m)")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        return super().__new__(cls, n, m)
 
 
 def c_bound(pair: EllipticPair) -> float:
@@ -165,8 +167,7 @@ def _pattern_str(pattern: tuple) -> str:
     return "(" + ",".join(_term_str(t) for t in pattern) + ")"
 
 
-@dataclass(frozen=True)
-class SupergroupEntry:
+class SupergroupEntry(NamedTuple):
     """One containment row: ``super`` contains ``sub`` with the given index."""
 
     super_pattern: tuple

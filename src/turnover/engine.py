@@ -47,13 +47,12 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .collars import refined_boundary_orders
-from .errors import DomainError, require_finite, require_positive
+from .errors import CheckedRecord, DomainError, require_finite, require_positive
 from .numerics import constant_H
 from .simplices import (
     ReturnPathCase,
@@ -105,8 +104,7 @@ class Conclusion(enum.Enum):
     CANDIDATES_REMAIN = "CandidatesRemain"
 
 
-@dataclass(frozen=True)
-class BoundLedger:
+class BoundLedger(NamedTuple):
     """Area/volume budgets for an immersed turnover of type ``sig``.
 
     ``two_sided_budget`` caps the total boundary area of the core,
@@ -192,8 +190,7 @@ def _candidate_table(
     return scale, keys, tuple((sig, area) for *_, sig, area in ranked)
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """One scanned return-path case with its volume lower bound and verdict."""
 
     case: ReturnPathCase
@@ -292,28 +289,37 @@ def exclusion_by_volume(
 # --- full pipeline -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinementInput:
-    """Caller-supplied geometric input for one refinement.
-
-    ``kind`` is "disk" (an embedded disk radius around the order-``k`` cone
-    point) or "separation" (a perpendicular separation to double).
-    """
-
+class _RefinementFields(NamedTuple):
     boundary: TurnoverSignature
     k: int
     kind: str
     value: float
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("disk", "separation"):
-            raise DomainError(f"unknown refinement kind {self.kind!r}")
-        require_finite(require_positive(self.value, "refinement input"), "refinement input")
+    label: str
 
 
-@dataclass(frozen=True)
-class RefinementRecord:
+class RefinementInput(CheckedRecord, _RefinementFields):
+    """Caller-supplied geometric input for one refinement.
+
+    ``kind`` is "disk" (an embedded disk radius around the order-``k`` cone
+    point) or "separation" (a perpendicular separation to double).  ``k``
+    must be a cone order of ``boundary``, or the input applies to no case.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, boundary: TurnoverSignature, k: int, kind: str, value: float,
+                label: str = "") -> RefinementInput:
+        if not isinstance(boundary, TurnoverSignature):
+            raise DomainError(f"refinement boundary {boundary!r} is not a TurnoverSignature")
+        if k not in boundary.orders:
+            raise DomainError(f"refinement k={k!r} is not a cone order of {boundary}")
+        if kind not in ("disk", "separation"):
+            raise DomainError(f"unknown refinement kind {kind!r}")
+        require_finite(require_positive(value, "refinement input"), "refinement input")
+        return super().__new__(cls, boundary, k, kind, value, label)
+
+
+class RefinementRecord(NamedTuple):
     input: RefinementInput
     theta: float
     lower_bound: float
@@ -374,8 +380,7 @@ def known_refinements(sig: TurnoverSignature) -> tuple[RefinementInput, ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the pipeline established for one immersed signature.
 
     ``admissible_orders`` is the ascending tuple from
@@ -466,8 +471,7 @@ def analyze(
 # --- registry of cited orbifolds ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     """A cited orbifold with its volume and its known immersed turnovers.
 
     Volumes are stored constants carried over from the sources that compute

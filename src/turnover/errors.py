@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one real-domain check.
+"""Exception types shared across the package, the one real-domain check,
+and the mixin that keeps a checked record's checks on ``_replace``.
 
 A rejected real is named in one of four messages: ``"{what} is not a number
 (nan)"``, ``"{what} must be positive, got {x}"``, ``"{what} must be >= 0,
@@ -58,3 +59,15 @@ def require_finite(x: float, what: str) -> float:
     if math.isinf(x):
         raise DomainError(f"{what} must be finite, got {x}")
     return x
+
+
+class CheckedRecord:
+    """Mixin for a ``NamedTuple`` subclass whose ``__new__`` checks or
+    normalizes its fields: ``_make``, and with it ``_replace``, goes through
+    that constructor, so no record skips its checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

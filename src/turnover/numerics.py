@@ -52,11 +52,10 @@ invocation and passes it down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, CheckedRecord, ConvergenceError, DomainError
 from .errors import require_finite, require_nonnegative, require_positive
 
 __all__ = [
@@ -81,8 +80,12 @@ _ROOT_STEPS = 200
 _FIXED_NODES = 20
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _ToleranceFields(NamedTuple):
+    abs_tol: float
+    rel_tol: float
+
+
+class Tolerance(CheckedRecord, _ToleranceFields):
     """Absolute/relative tolerance pair.
 
     The effective tolerance for a quantity of magnitude ``x`` is
@@ -91,12 +94,12 @@ class Tolerance:
     in ``_NODE_COUNTS``.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(require_positive(self.abs_tol, "abs_tol"), "abs_tol")
-        require_finite(require_nonnegative(self.rel_tol, "rel_tol"), "rel_tol")
+    def __new__(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> Tolerance:
+        require_finite(require_positive(abs_tol, "abs_tol"), "abs_tol")
+        require_finite(require_nonnegative(rel_tol, "rel_tol"), "rel_tol")
+        return super().__new__(cls, abs_tol, rel_tol)
 
     def bound(self, magnitude: float) -> float:
         """Effective tolerance for a quantity of the given magnitude."""
@@ -106,23 +109,25 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """A sign-change interval [lo, hi]; endpoints are swapped into order."""
-
+class _BracketFields(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        lo, hi = float(self.lo), float(self.hi)
+
+class Bracket(CheckedRecord, _BracketFields):
+    """A sign-change interval [lo, hi]; endpoints are swapped into order."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float) -> Bracket:
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("bracket endpoints must be finite")
         if lo == hi:
             raise DomainError("bracket is empty")
         if lo > hi:
             lo, hi = hi, lo
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return super().__new__(cls, lo, hi)
 
 
 def _name(f: Callable) -> str:

@@ -71,13 +71,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InequalityViolation
+from .errors import CheckedRecord, ConvergenceError, DomainError, InequalityViolation
 from .errors import require_finite, require_nonnegative, require_positive
 from .numerics import DEFAULT_TOLERANCE, Tolerance, constant_H
 from .numerics import _NODE_COUNTS, _converge, _leggauss
@@ -101,14 +100,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PolarDisk:
-    """Disk floor of the given hyperbolic radius, centered at the origin."""
-
+class _DiskFields(NamedTuple):
     radius: float
 
-    def __post_init__(self) -> None:
-        require_finite(require_positive(self.radius, "disk radius"), "disk radius")
+
+class PolarDisk(CheckedRecord, _DiskFields):
+    """Disk floor of the given hyperbolic radius, centered at the origin."""
+
+    __slots__ = ()
+
+    def __new__(cls, radius: float) -> PolarDisk:
+        require_finite(require_positive(radius, "disk radius"), "disk radius")
+        return super().__new__(cls, radius)
 
     @property
     def area(self) -> float:
@@ -117,16 +120,19 @@ class PolarDisk:
         return 4.0 * math.pi * math.sinh(0.5 * self.radius) ** 2
 
 
-@dataclass(frozen=True)
-class ProjectiveTriangle:
-    """Triangle with vertices strictly inside the unit disk (projective model)."""
-
+class _TriangleFields(NamedTuple):
     vertices: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) != 3:
+
+class ProjectiveTriangle(CheckedRecord, _TriangleFields):
+    """Triangle with vertices strictly inside the unit disk (projective model)."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[tuple[float, float], ...]) -> ProjectiveTriangle:
+        if len(vertices) != 3:
             raise DomainError("a triangle needs exactly three vertices")
-        vs = tuple((float(x), float(y)) for x, y in self.vertices)
+        vs = tuple((float(x), float(y)) for x, y in vertices)
         for x, y in vs:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DomainError("triangle vertices must be finite")
@@ -138,14 +144,13 @@ class ProjectiveTriangle:
         cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         if abs(cross) < 1e-14:
             raise DomainError("triangle vertices are collinear")
-        object.__setattr__(self, "vertices", vs)
+        return super().__new__(cls, vs)
 
 
 FloorRegion = PolarDisk | ProjectiveTriangle
 
 
-@dataclass(frozen=True)
-class CeilingFunction:
+class CeilingFunction(NamedTuple):
     """Nonnegative height function g(r, theta) over a floor, with its gradient.
 
     ``height(r, theta)`` returns g and ``gradient(r, theta)`` returns the
@@ -169,8 +174,7 @@ class CeilingFunction:
                                gradient=lambda r, theta: (0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class RoomSpec:
+class RoomSpec(NamedTuple):
     """Computed summary of one room: volume, areas, and the nice comparison."""
 
     volume: float

@@ -50,9 +50,9 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, require_finite, require_positive
 from .numerics import _fixed_rule, lobachevsky
@@ -150,8 +150,7 @@ def rho3(r: float) -> float:
     return TruncatedSimplexSpec.from_edge(2.0 * r).rho3
 
 
-@dataclass(frozen=True)
-class TruncatedSimplexSpec:
+class TruncatedSimplexSpec(NamedTuple):
     """A T_theta with its derived scalars; ``from_angle`` is the one place
     the density is computed."""
 
@@ -189,8 +188,7 @@ def _theta_for(chi: Fraction, k: int, closed: bool) -> float:
     return math.pi / float(denominator)
 
 
-@dataclass(frozen=True)
-class ReturnPathCase:
+class ReturnPathCase(NamedTuple):
     """One (boundary, k, closed) configuration for the shortest return path.
 
     ``k`` is the maximal order of the singular axis containing the path,

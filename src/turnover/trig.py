@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DomainError, require_finite, require_positive
+from .errors import CheckedRecord, DomainError, require_finite, require_positive
 
 __all__ = [
     "MAX_CONE_ORDER",
@@ -45,16 +44,19 @@ __all__ = [
 MAX_CONE_ORDER = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class TurnoverSignature:
-    """Ordered triple of cone orders, normalized so p <= q <= r."""
-
+class _SignatureFields(NamedTuple):
     p: int
     q: int
     r: int
 
-    def __post_init__(self) -> None:
-        orders = (self.p, self.q, self.r)
+
+class TurnoverSignature(CheckedRecord, _SignatureFields):
+    """Ordered triple of cone orders, normalized so p <= q <= r."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, r: int) -> TurnoverSignature:
+        orders = (p, q, r)
         for n in orders:
             if not isinstance(n, int) or isinstance(n, bool):
                 raise DomainError(f"cone order {n!r} is not an integer")
@@ -62,10 +64,7 @@ class TurnoverSignature:
                 raise DomainError(f"cone order {n} < 2")
             if n > MAX_CONE_ORDER:
                 raise DomainError(f"cone order {n} exceeds {MAX_CONE_ORDER}")
-        p, q, r = sorted(orders)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        return super().__new__(cls, *sorted(orders))
 
     @property
     def orders(self) -> tuple[int, int, int]:
@@ -75,9 +74,6 @@ class TurnoverSignature:
         """Orbifold Euler characteristic 1/p + 1/q + 1/r - 1, exactly."""
         p, q, r = self.p, self.q, self.r
         return Fraction(q * r + p * r + p * q - p * q * r, p * q * r)
-
-    def __iter__(self):
-        return iter(self.orders)
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r})"
@@ -131,8 +127,7 @@ def turnover_area(sig: TurnoverSignature) -> float:
     return 2.0 * math.pi * float(-sig.chi_fraction())
 
 
-@dataclass(frozen=True)
-class TriangleGeometry:
+class TriangleGeometry(NamedTuple):
     """Angles, side lengths, and area of the hyperbolic (p, q, r) triangle;
     the turnover's area is ``turnover_area(signature)``.
 

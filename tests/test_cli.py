@@ -375,7 +375,9 @@ def test_each_command_imports_only_what_it_runs(command):
     """A fresh interpreter running one command loads exactly the turnover
     modules that command calls, and numpy only for room-check.  With no
     command, ``import turnover.cli`` and ``build_parser()`` load ``cli``,
-    ``errors`` and ``trig``, and ``import turnover`` loads no submodule."""
+    ``errors`` and ``trig``, and ``import turnover`` loads no submodule.
+    No case loads ``dataclasses``, and only room-check (through numpy)
+    loads ``inspect``: both cost milliseconds of every cold start."""
     if command in NO_COMMAND:
         argv, expected = [], NO_COMMAND[command]
     else:
@@ -384,11 +386,14 @@ def test_each_command_imports_only_what_it_runs(command):
             else "from turnover.cli import build_parser, main\nbuild_parser()")
     program = "\n".join([
         "import contextlib, io, json, sys",
+        "before = set(sys.modules)",
         head,
         "argv = json.loads(sys.argv[1])",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = main(argv) if argv else 0",
         "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules,",
+        "                  'stdlib': [m for m in ('dataclasses', 'inspect')",
+        "                             if m in sys.modules and m not in before],",
         "                  'modules': sorted(m for m in sys.modules",
         "                                    if m.split('.')[0] == 'turnover')}))",
     ])
@@ -402,3 +407,5 @@ def test_each_command_imports_only_what_it_runs(command):
     assert result["code"] == 0, proc.stderr
     assert set(result["modules"]) == expected
     assert result["numpy"] == (command == "room-check")
+    assert "dataclasses" not in result["stdlib"]
+    assert "inspect" not in result["stdlib"] or command == "room-check"

@@ -6,9 +6,9 @@ shares no code with the engine.  Lower bounds are checked against frozen
 mpmath values.
 """
 
-import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from pathlib import Path
@@ -293,9 +293,7 @@ class TestCaseScan:
         assert len(records) == 5
 
     def test_synthetic_infinite_bound_survives_everything(self):
-        ledger = dataclasses.replace(
-            make_ledger(sig(2, 4, 5), 1), upper_bound_with_boundary=math.inf
-        )
+        ledger = make_ledger(sig(2, 4, 5), 1)._replace(upper_bound_with_boundary=math.inf)
         records = miyamoto_case_scan(ledger, sig(3, 3, 4))
         assert all(rec.verdict is Verdict.SURVIVES for rec in records)
 
@@ -310,7 +308,7 @@ class TestCaseScan:
                 (rec.lower_bound, Verdict.SURVIVES),
                 (math.nextafter(rec.lower_bound, 0.0), Verdict.EXCLUDED),
             ):
-                tied = dataclasses.replace(ledger, upper_bound_with_boundary=cap)
+                tied = ledger._replace(upper_bound_with_boundary=cap)
                 assert miyamoto_case_scan(tied, boundary)[index].verdict is verdict
 
     @pytest.mark.parametrize("boundary", [(3, 3, 3), (2, 3, 6)])
@@ -609,6 +607,18 @@ class TestAnalyze:
             RefinementInput(sig(2, 4, 5), 4, "nope", 1.0)
         with pytest.raises(DomainError):
             RefinementInput(sig(2, 4, 5), 4, "disk", 0.0)
+
+    @pytest.mark.parametrize("boundary, k, named", [
+        (sig(2, 4, 5), 4.5, "k=4.5"),
+        (sig(2, 4, 5), 7, "k=7"),
+        ((2, 4, 5), 4, "boundary (2, 4, 5)"),
+    ])
+    def test_refinement_input_that_fits_no_case_is_rejected(self, boundary, k, named):
+        """A k that is not a cone order of the boundary, or a boundary that
+        is not a signature, matches no case, so it is an error that names
+        the value rather than an input ``analyze`` ignores or trips on."""
+        with pytest.raises(DomainError, match=re.escape(named)):
+            RefinementInput(boundary, k, "disk", 0.5)
 
     def test_nan_refinement_input_is_named_not_a_number(self):
         with pytest.raises(DomainError, match="refinement input is not a number"):

@@ -1,7 +1,6 @@
 """Tests for the reproduction script under ``scripts/``, run as a user runs
 it: in a fresh interpreter."""
 
-import dataclasses
 import json
 import os
 import runpy
@@ -50,7 +49,7 @@ def test_reproduce_verdicts_text_confirms_registry_caps():
 def test_reproduce_verdicts_exits_1_on_a_contradiction(monkeypatch, capsys):
     """An entry above its cap is flagged and fails the run."""
     patched = tuple(
-        dataclasses.replace(entry, volume=100.0) if entry.name == "O8" else entry
+        entry._replace(volume=100.0) if entry.name == "O8" else entry
         for entry in registry()
     )
     monkeypatch.setattr(engine, "_REGISTRY", patched)
