@@ -229,13 +229,15 @@ def miyamoto_case_scan(
 
 
 # The census at orders <= 12 meets 946 distinct boundaries.
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _case_records(
     boundary: TurnoverSignature,
 ) -> tuple[tuple[float, CaseRecord, CaseRecord], ...]:
     """``(bound, Excluded record, Survives record)`` for each case of
     ``simplices.boundary_cases(boundary)``, built once per boundary.  The
-    records are frozen, so every ledger's scan shares them."""
+    records are frozen, so every ledger's scan shares them.  Typed, because
+    a signature equals the plain tuple of its orders: a tuple must not find
+    a signature's entry, and reaches ``boundary_cases``, which rejects it."""
     return tuple(
         (bound, CaseRecord(case, bound, Verdict.EXCLUDED),
          CaseRecord(case, bound, Verdict.SURVIVES))

@@ -33,32 +33,28 @@ and volume < floor_area / 2 pointwise.
 2-D quadrature is a tensor-product rule, Gauss-Legendre in the
 radial/affine directions and a periodic midpoint rule in theta, run by
 ``numerics._converge`` on arrays of ``numerics._leggauss`` nodes; no other
-module imports numpy.  A ceiling supplies its height and its exact
-gradient, both evaluated on the node grid (r an (n, 1) column, theta a
-(1, 2n) row); there is no finite-difference fallback.  The random ceiling
-sums its modes as one matrix product, an (n, modes) radial matrix times a
-(modes, 2n) angular matrix, and rejects any other shape.  Monte Carlo is
-only a test oracle, never used here.
+module imports numpy.  A ceiling is one callable that returns its height
+and its exact gradient, (g, g_r, g_theta), on the node grid (r an (n, 1)
+column, theta a (1, 2n) row); there is no finite-difference fallback.  The
+random ceiling sums its modes as one matrix product, an (n, modes) radial
+matrix times a (modes, 2n) angular matrix, and rejects any other shape.
+Monte Carlo is only a test oracle, never used here.
 
-One node evaluation per order feeds both integrals of a check.
-``isoperimetric_check`` calls ``height`` and ``gradient`` once per order,
-takes sinh r once, and integrates the volume and area densities together;
-each density is summed in place in one array, and a density constant in
-theta, an (n, 1) column, is repeated across the 2n angles only for the
-final row sums, which keeps the bits of a sum over the broadcast grid.
-The quadrature's grids are read-only, so the random ceiling remembers the
-last one by identity: tanh r and the cos and sin of its mode angles are
-computed once per grid for both ``height`` and ``gradient``.
-``cusp_prism_check`` builds the collapsed nodes and the gap 1 - x^2 - y^2
-once per order for both of its integrands, with the Jacobian's factor u
-folded into the row weights and its constant into the scalar sum.
-``_converge`` gives each quantity the estimate at which it alone
-converged, so ``room_volume`` and ``ceiling_area``, which integrate the
-same density functions one at a time, return the same bits as the fused
-check; the names in a ``ConvergenceError`` are formatted only when it is
-raised.  A ceiling too tall for these quantities to be floats (a constant
-one over the unit-radius disk from a height of about 177) is a
-``DomainError`` naming its height, in all three disk integrals.
+Each rule integrates a fixed pair of quantities from one node evaluation
+per order.  The disk rule calls the ceiling once per order, takes sinh r
+once, and integrates the volume and area densities together; each density
+is summed in place in one array, and a density constant in theta, an
+(n, 1) column, is repeated across the 2n angles only for the final row
+sums, which keeps the bits of a sum over the broadcast grid.  The triangle
+rule builds the collapsed nodes and the gap 1 - x^2 - y^2 once per order
+for both of its integrands, with the Jacobian's factor u folded into the
+row weights and its constant into the scalar sum.  ``_converge`` gives
+each quantity the estimate at which it alone converged, so
+``room_volume`` and ``ceiling_area`` return the bits of
+``isoperimetric_check``; the names in a ``ConvergenceError`` are formatted
+only when it is raised.  A ceiling too tall for these quantities to be
+floats (a constant one over the unit-radius disk from a height of about
+177) is a ``DomainError`` naming its height, in all three disk integrals.
 
 The nice height is the one root found here.  sinh 2H + 2H is increasing
 and convex, so ``nice_height`` runs Newton's method from a start to the
@@ -153,25 +149,23 @@ FloorRegion = PolarDisk | ProjectiveTriangle
 class CeilingFunction(NamedTuple):
     """Nonnegative height function g(r, theta) over a floor, with its gradient.
 
-    ``height(r, theta)`` returns g and ``gradient(r, theta)`` returns the
-    pair (g_r, g_theta).  The quadratures call both on the node grid: r an
-    (n, 1) column of radii and theta a (1, 2n) row of angles, both
-    read-only, the same pair for both calls of one order.  They may
-    return scalars or arrays of any shape that broadcasts against (r, theta),
-    because the quadratures broadcast only the densities built from them.
+    ``evaluate(r, theta)`` returns the triple (g, g_r, g_theta).  The disk
+    quadrature calls it once per order on the node grid: r an (n, 1) column
+    of radii and theta a (1, 2n) row of angles, which is shared and
+    read-only, so writing into it is a ``ValueError``.  Each value may be a
+    scalar or an array of any shape that broadcasts against (r, theta),
+    because the quadrature broadcasts only the densities built from them.
     ``random_smooth_ceiling`` sums its modes as one matrix product and
     accepts only that grid.
     """
 
-    height: Callable
-    gradient: Callable
+    evaluate: Callable
 
     @staticmethod
     def constant(h: float) -> "CeilingFunction":
         require_finite(require_nonnegative(h, "constant ceiling height"),
                        "constant ceiling height")
-        return CeilingFunction(height=lambda r, theta: h,
-                               gradient=lambda r, theta: (0.0, 0.0))
+        return CeilingFunction(lambda r, theta: (h, 0.0, 0.0))
 
 
 class RoomSpec(NamedTuple):
@@ -216,29 +210,22 @@ def _midpoint_angles(n: int) -> np.ndarray:
 
 
 def _disk_grid(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Order-``n`` disk nodes: Gauss radii as a column, 2n angles as a row,
-    both read-only."""
-    r = radius * _unit_nodes(n)[0][:, None]
-    r.flags.writeable = False
-    return r, _midpoint_angles(n)
+    """Order-``n`` disk nodes: Gauss radii as a column, 2n angles as the
+    cached read-only row."""
+    return radius * _unit_nodes(n)[0][:, None], _midpoint_angles(n)
 
 
 def _disk_quadrature(
-    densities: Callable,
-    ceiling: CeilingFunction,
-    radius: float,
-    tol: Tolerance,
-    quantities: tuple[str, ...],
-) -> tuple[float, ...]:
-    """Integrate each of ``densities(ceiling, r, theta)`` over [0, radius] x [0, 2 pi].
+    ceiling: CeilingFunction, radius: float, tol: Tolerance
+) -> tuple[float, float]:
+    """Room volume and ceiling area under ``ceiling`` over the disk of ``radius``.
 
-    ``densities`` returns one array per quantity named in ``quantities``,
-    each the (n, 2n) node grid or an (n, 1) column constant in theta, and
-    already including every metric factor, so one evaluation of the nodes
-    per order feeds every integral.  Gauss panels in r, periodic midpoints in theta, orders raised
-    by ``_converge``.  The rule runs with numpy overflow raised: a ceiling
-    too tall for its densities to be floats is a ``DomainError`` naming its
-    height.
+    Integrates ``_room_densities`` over [0, radius] x [0, 2 pi]: Gauss
+    panels in r, periodic midpoints in theta, orders raised by
+    ``_converge``.  Each density is the (n, 2n) node grid or an (n, 1)
+    column constant in theta, with every metric factor included.  The rule
+    runs with numpy overflow raised: a ceiling too tall for its densities to
+    be floats is a ``DomainError`` naming its height.
     """
 
     def estimate(n: int) -> tuple[float, ...]:
@@ -246,39 +233,38 @@ def _disk_quadrature(
         m = 2 * n
         weights = (2.0 * math.pi / m) * radius * w
         totals = []
-        for values in densities(ceiling, *_disk_grid(n, radius)):
+        for values in _room_densities(ceiling, *_disk_grid(n, radius)):
             if values.shape != (n, m):  # an (n, 1) density, constant in theta
                 values = np.repeat(values, m, axis=1)
             totals.append(float(weights @ np.add.reduce(values, axis=1)))
         return tuple(totals)
 
     def what() -> tuple[str, ...]:
-        return tuple(
-            f"disk quadrature of the {quantity} on [0, {radius}] x [0, 2 pi]"
-            for quantity in quantities
-        )
+        return tuple(f"disk quadrature of the {quantity} on [0, {radius}] x [0, 2 pi]"
+                     for quantity in ("room volume", "ceiling area"))
 
     try:
         with np.errstate(over="raise"):
             return _converge(estimate, tol, what)
     except FloatingPointError:
-        tallest = float(np.max(ceiling.height(*_disk_grid(_NODE_COUNTS[0], radius))))
+        tallest = float(np.max(ceiling.evaluate(*_disk_grid(_NODE_COUNTS[0], radius))[0]))
         raise DomainError(
             f"room integrals overflow a float: ceiling height {tallest:.6g} over "
             f"a disk of radius {radius}"
         ) from None
 
 
-def _triangle_quadrature(
-    densities: Callable, tri: ProjectiveTriangle, tol: Tolerance, quantities: tuple[str, ...]
-) -> tuple[float, ...]:
-    """Integrate each of ``densities(x, y)`` dx dy over the triangle.
+def _triangle_quadrature(tri: ProjectiveTriangle, tol: Tolerance) -> tuple[float, float]:
+    """Int dx dy / gap and Int dx dy / gap^(3/2) over the triangle, with
+    gap = 1 - x^2 - y^2: twice the cusp prism's volume and the projective
+    area.
 
     Uses the square-to-triangle collapse P(u, v) = A + u ((B-A) + v (C-B))
     on [0,1]^2, whose Jacobian is u * |cross(B-A, C-B)|; the collapsed
-    nodes are built once per order for every density.  The factor u is
-    folded into the row weights and the constant |cross| into the scalar
-    sum, so each density is reduced by two matrix-vector products.
+    nodes and the gap are built once per order for both integrands.  The
+    factor u is folded into the row weights and the constant |cross| into
+    the scalar sum, so each integrand is reduced by two matrix-vector
+    products.
     """
     (ax, ay), (bx, by), (cx, cy) = tri.vertices
     e1 = (bx - ax, by - ay)
@@ -290,14 +276,13 @@ def _triangle_quadrature(
         U, V = u[:, None], u[None, :]
         x = ax + U * (e1[0] + V * e2[0])
         y = ay + U * (e1[1] + V * e2[1])
+        gap = 1.0 - x * x - y * y
         wu = w * u
-        return tuple(jac * float(wu @ values @ w) for values in densities(x, y))
+        return tuple(jac * float(wu @ values @ w) for values in (1.0 / gap, gap ** -1.5))
 
     def what() -> tuple[str, ...]:
-        return tuple(
-            f"triangle quadrature over {tri.vertices} of {quantity}"
-            for quantity in quantities
-        )
+        return tuple(f"triangle quadrature over {tri.vertices} of {quantity}"
+                     for quantity in ("1/gap", "gap^-1.5"))
 
     return _converge(estimate, tol, what)
 
@@ -311,7 +296,7 @@ def _require_disk(floor: FloorRegion) -> PolarDisk:
     )
 
 
-# --- room densities: each written once, shared by the fused and lone integrals
+# --- room densities -----------------------------------------------------------
 
 
 def _into(acc, ufunc, operand):
@@ -348,28 +333,11 @@ def _area_density(g, g_r, g_t, sinh_r):
 
 
 def _room_densities(ceiling, r, theta):
-    """The volume and area densities from one ``height`` and one ``gradient``
-    evaluation, sharing sinh r."""
-    g = ceiling.height(r, theta)
-    g_r, g_t = ceiling.gradient(r, theta)
+    """The volume and area densities from one evaluation of the ceiling,
+    sharing sinh r."""
+    g, g_r, g_t = ceiling.evaluate(r, theta)
     sinh_r = np.sinh(r)
     return _volume_density(g, sinh_r), _area_density(g, g_r, g_t, sinh_r)
-
-
-def _room_volume_density(ceiling, r, theta):
-    return (_volume_density(ceiling.height(r, theta), np.sinh(r)),)
-
-
-def _ceiling_area_density(ceiling, r, theta):
-    g_r, g_t = ceiling.gradient(r, theta)
-    return (_area_density(ceiling.height(r, theta), g_r, g_t, np.sinh(r)),)
-
-
-def _prism_densities(x, y):
-    """1/gap and gap^(-3/2), gap = 1 - x^2 - y^2: the cusp prism's volume
-    (twice over) and the projective area element."""
-    gap = 1.0 - x * x - y * y
-    return 1.0 / gap, gap ** -1.5
 
 
 # --- room operations ---------------------------------------------------------
@@ -378,21 +346,27 @@ def _prism_densities(x, y):
 def room_volume(
     floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
-    """Volume Int_F (sinh 2g + 2g)/4 dA of the room under ``ceiling``."""
-    disk = _require_disk(floor)
-    return _disk_quadrature(
-        _room_volume_density, ceiling, disk.radius, tol, ("room volume",)
-    )[0]
+    """Volume Int_F (sinh 2g + 2g)/4 dA of the room under ``ceiling``.
+
+    Integrated together with the ceiling area, as in
+    ``isoperimetric_check``, whose volume it returns bit for bit.  The rule
+    stops only once both quantities have converged, so a ceiling whose area
+    does not converge to ``tol`` is a ``ConvergenceError`` here too.
+    """
+    return _disk_quadrature(ceiling, _require_disk(floor).radius, tol)[0]
 
 
 def ceiling_area(
     floor: FloorRegion, ceiling: CeilingFunction, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
-    """Area of the graph of ``ceiling`` over the floor."""
-    disk = _require_disk(floor)
-    return _disk_quadrature(
-        _ceiling_area_density, ceiling, disk.radius, tol, ("ceiling area",)
-    )[0]
+    """Area of the graph of ``ceiling`` over the floor.
+
+    Integrated together with the room volume, as in
+    ``isoperimetric_check``, whose area it returns bit for bit.  The rule
+    stops only once both quantities have converged, so a ceiling whose
+    volume does not converge to ``tol`` is a ``ConvergenceError`` here too.
+    """
+    return _disk_quadrature(ceiling, _require_disk(floor).radius, tol)[1]
 
 
 # Largest nice height tried: sinh 2H stays a float up to about 354.9.
@@ -497,17 +471,15 @@ def isoperimetric_check(
 ) -> RoomSpec:
     """Compute V, Area(C), H, Area(S) and verify both proved inequalities.
 
-    V and Area(C) are integrated together: one ``height`` and one
-    ``gradient`` evaluation per quadrature order feed both densities.
+    V and Area(C) are integrated together: one evaluation of the ceiling
+    per quadrature order feeds both densities.
     Raises ``InequalityViolation`` if Area(C) < Area(S) or
     V > (H*/2) Area(C) beyond tolerance; both comparisons get a tolerance
     band because the constant ceiling attains equality.  A ceiling too tall
     for these quantities to be floats is a ``DomainError`` naming its height.
     """
     disk = _require_disk(floor)
-    V, A_C = _disk_quadrature(
-        _room_densities, ceiling, disk.radius, tol, ("room volume", "ceiling area")
-    )
+    V, A_C = _disk_quadrature(ceiling, disk.radius, tol)
     A_F = disk.area
     H_eq = nice_height(V, A_F, tol)
     A_S = _nice_area(V, A_F, H_eq)
@@ -539,9 +511,7 @@ def cusp_prism_check(
     set of collapsed nodes per order; asserts the strict pointwise
     inequality volume < floor_area / 2.
     """
-    inverse_gap, floor_area = _triangle_quadrature(
-        _prism_densities, tri, tol, ("1/gap", "gap^-1.5")
-    )
+    inverse_gap, floor_area = _triangle_quadrature(tri, tol)
     volume = 0.5 * inverse_gap
     if volume >= 0.5 * floor_area + tol.bound(volume):
         raise InequalityViolation(
@@ -560,13 +530,12 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
     Base height in [0.6, 1.4] plus up to three angular modes with radial
     profiles tanh(r)^j, budgeted so the total wiggle stays below 85% of the
     base; the j-th power pins the mode to zero at the origin, keeping the
-    graph smooth there.  The height and its gradient sum the modes as one
-    matrix product of an (n, modes) radial matrix and a (modes, m) angular
-    matrix, so they take r as an (n, 1) column and theta as a (1, m) row,
-    the quadrature grid; any other shape is a ``DomainError``.  tanh r and
-    the cos and sin of the mode angles are computed once per grid and
-    shared by both: the last read-only (r, theta) pair is remembered by
-    identity, and any other pair is evaluated afresh.
+    graph smooth there.  Its ``evaluate`` sums the modes of the height
+    and of its gradient as matrix products of an (n, modes) radial matrix
+    and a (modes, m) angular matrix, so it takes r as an (n, 1) column and
+    theta as a (1, m) row, the quadrature grid; any other shape is a
+    ``DomainError``.  Each call computes tanh r and the cos and sin of the
+    mode angles once, for the height and its gradient alike.
     """
     base = float(rng.uniform(0.6, 1.4))
     n_modes = int(rng.integers(1, 4))
@@ -578,43 +547,25 @@ def random_smooth_ceiling(rng: np.random.Generator) -> CeilingFunction:
     f = freqs.astype(float)
     f_col, phase_col = f[:, None], phases[:, None]
     amps_f, f_less_1 = amps * f, f - 1.0
-    last = None  # (r, theta, trig values) of the last read-only grid
 
-    def grid_trig(r, theta):
-        """tanh r as an (n, 1) column and cos, sin of the (modes, m) mode
-        angles f theta + phase, shared by ``height`` and ``gradient``."""
-        nonlocal last
-        entry = last  # read once: a concurrent call cannot mix two grids
-        if entry is not None and r is entry[0] and theta is entry[1]:
-            return entry[2]
+    def evaluate(r, theta):
         r_shape, theta_shape = np.shape(r), np.shape(theta)
         if len(r_shape) != 2 or r_shape[1] != 1 or len(theta_shape) != 2 or theta_shape[0] != 1:
             raise DomainError(
                 "a random ceiling is evaluated on a grid: r an (n, 1) column and "
                 f"theta a (1, m) row, got shapes {r_shape} and {theta_shape}"
             )
+        t = np.tanh(r)
         angles = f_col * theta + phase_col
-        values = np.tanh(r), np.cos(angles), np.sin(angles)
-        # Only a grid that cannot change in place is remembered by identity.
-        if (isinstance(r, np.ndarray) and isinstance(theta, np.ndarray)
-                and not (r.flags.writeable or theta.flags.writeable)):
-            last = r, theta, values
-        return values
-
-    def height(r, theta):
-        t, cos, _ = grid_trig(r, theta)
+        cos = np.cos(angles)
         g = (amps * t**f) @ cos
         g += base
-        return g
-
-    def gradient(r, theta):
-        t, cos, sin = grid_trig(r, theta)
         d_dt = amps_f * t**f_less_1  # of each mode's radial profile amps t^f
         g_r = (d_dt * (1.0 - t * t)) @ cos
-        g_t = (-d_dt * t) @ sin
-        return g_r, g_t
+        g_t = (-d_dt * t) @ np.sin(angles)
+        return g, g_r, g_t
 
-    return CeilingFunction(height=height, gradient=gradient)
+    return CeilingFunction(evaluate)
 
 
 def isoperimetric_sweep(

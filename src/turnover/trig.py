@@ -116,6 +116,10 @@ def _hyperbolic_signature(p: int, q: int, r: int) -> TurnoverSignature | None:
 
 
 def require_hyperbolic(sig: TurnoverSignature) -> None:
+    """A ``DomainError`` unless ``sig`` is a hyperbolic ``TurnoverSignature``;
+    a plain tuple of orders is not one."""
+    if not isinstance(sig, TurnoverSignature):
+        raise DomainError(f"{sig!r} is not a TurnoverSignature")
     kind = classify(sig)
     if kind is not GeometryClass.HYPERBOLIC:
         raise DomainError(f"signature {sig} is {kind.value}, not hyperbolic")

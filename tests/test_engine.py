@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from turnover import engine
 from turnover.collars import cone_order_universe, refined_boundary_orders
 from turnover.engine import (
     Conclusion,
@@ -310,6 +311,19 @@ class TestCaseScan:
             ):
                 tied = ledger._replace(upper_bound_with_boundary=cap)
                 assert miyamoto_case_scan(tied, boundary)[index].verdict is verdict
+
+    def test_a_plain_tuple_boundary_is_a_domain_error_cold_or_warm(self):
+        """A signature equals the tuple of its orders, so an untyped case
+        cache answered a tuple with the signature's records once the
+        signature was scanned; the tuple is one ``DomainError`` either way."""
+        engine._case_records.cache_clear()
+        ledger = make_ledger(sig(2, 4, 5), 1)
+        message = r"^\(3, 3, 4\) is not a TurnoverSignature$"
+        with pytest.raises(DomainError, match=message):
+            miyamoto_case_scan(ledger, (3, 3, 4))
+        assert len(miyamoto_case_scan(ledger, sig(3, 3, 4))) == 5
+        with pytest.raises(DomainError, match=message):
+            miyamoto_case_scan(ledger, (3, 3, 4))
 
     @pytest.mark.parametrize("boundary", [(3, 3, 3), (2, 3, 6)])
     def test_rejects_euclidean_boundary(self, boundary):

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turnover.errors import BracketError, ConvergenceError, DomainError
@@ -213,6 +213,38 @@ class TestConverge:
         )
         assert fused == lone == (1.5, 2.0)
         assert orders == list(_NODE_COUNTS[: _NODE_COUNTS.index(96) + 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        quantities=st.lists(
+            st.tuples(
+                st.integers(0, len(_NODE_COUNTS) - 2),
+                st.lists(st.floats(-1e6, 1e6), min_size=len(_NODE_COUNTS),
+                         max_size=len(_NODE_COUNTS)),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        tol=st.sampled_from([Tolerance(), Tolerance(1e-3, 1e-3)]),
+    )
+    @example(  # converges at 24 nodes and moves on, six orders before the other
+        quantities=[(0, [0.25 * k for k in range(9)]), (6, [1.0 / (k + 1) for k in range(9)])],
+        tol=Tolerance(),
+    )
+    def test_fused_estimate_gives_each_quantity_its_lone_float(self, quantities, tol):
+        """Quantity i takes its own values, except that the order after the
+        one it settles at repeats that order's value, so it converges there
+        (if not before) and moves on after.  Fused into one tuple estimate,
+        every quantity gets the float a run on it alone returns."""
+        tables = [
+            {n: values[settle if k == settle + 1 else k] for k, n in enumerate(_NODE_COUNTS)}
+            for settle, values in quantities
+        ]
+        lone = tuple(
+            _converge(lambda n, t=table: (t[n],), tol, ("lone",))[0] for table in tables
+        )
+        names = tuple(f"q{i}" for i in range(len(tables)))
+        assert _converge(lambda n: tuple(t[n] for t in tables), tol, names) == lone
 
     def test_error_names_only_the_component_left_over(self):
         with pytest.raises(ConvergenceError) as info:

@@ -20,12 +20,8 @@ from turnover.trig import TurnoverSignature, triangle_geometry
 SIG = TurnoverSignature(2, 4, 5)
 
 
-def _height(r, theta):
-    return 1.0
-
-
-def _gradient(r, theta):
-    return (0.0, 0.0)
+def _evaluate(r, theta):
+    return (1.0, 0.0, 0.0)
 
 
 # One instance of each record that only stores its fields.
@@ -39,7 +35,7 @@ PLAIN = {
     "RefinementRecord": lambda: analyze(SIG).refinements[0],
     "AnalysisReport": lambda: analyze(SIG),
     "RegistryEntry": lambda: registry()[0],
-    "CeilingFunction": lambda: CeilingFunction(_height, _gradient),
+    "CeilingFunction": lambda: CeilingFunction(_evaluate),
     "RoomSpec": lambda: RoomSpec(1.0, 2.0, 0.5, 1.5),
 }
 

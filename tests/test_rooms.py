@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from turnover import rooms
 from turnover.errors import ConvergenceError, DomainError
-from turnover.numerics import _NODE_COUNTS, Tolerance
+from turnover.numerics import _NODE_COUNTS, Tolerance, _converge
 from turnover.rooms import (
     CeilingFunction,
     PolarDisk,
@@ -33,7 +33,6 @@ from turnover.rooms import (
     random_smooth_ceiling,
     room_volume,
 )
-from turnover.rooms import _triangle_quadrature
 
 # mpmath, 40 digits
 COTH_ROOT = 1.1996786402577338
@@ -56,10 +55,9 @@ def equilateral_triangle(circumradius: float) -> ProjectiveTriangle:
 def tanh_mode_ceiling(c, a, f, df):
     """g = c + a f(theta) tanh r with its exact gradient
     (a f(theta) / cosh^2 r, a f'(theta) tanh r)."""
-    return CeilingFunction(
-        height=lambda r, t: c + a * f(t) * np.tanh(r),
-        gradient=lambda r, t: (a * f(t) / np.cosh(r) ** 2, a * df(t) * np.tanh(r)),
-    )
+    return CeilingFunction(lambda r, t: (
+        c + a * f(t) * np.tanh(r), a * f(t) / np.cosh(r) ** 2, a * df(t) * np.tanh(r)
+    ))
 
 
 class TestFloors:
@@ -112,7 +110,7 @@ class TestRoomVolume:
         assert value == pytest.approx(expected, rel=1e-11)
 
     def test_cone_ceiling_reference(self):
-        cone = CeilingFunction(height=lambda r, t: r, gradient=lambda r, t: (1.0, 0.0))
+        cone = CeilingFunction(lambda r, t: (r, 1.0, 0.0))
         assert room_volume(PolarDisk(1.0), cone) == pytest.approx(
             VOLUME_CONE_DISK1, rel=1e-11
         )
@@ -128,7 +126,7 @@ class TestRoomVolume:
         kernel = 0.25 * (np.sinh(2.0 * r) + 2.0 * r)
         estimate = PolarDisk(radius).area * float(kernel.mean())
         sigma = PolarDisk(radius).area * float(kernel.std()) / math.sqrt(n)
-        cone = CeilingFunction(lambda r, t: r, lambda r, t: (1.0, 0.0))
+        cone = CeilingFunction(lambda r, t: (r, 1.0, 0.0))
         value = room_volume(PolarDisk(radius), cone)
         assert abs(value - estimate) < 5.0 * sigma
         assert value == pytest.approx(estimate, rel=1e-3)  # 3 significant digits
@@ -172,22 +170,16 @@ class TestCeilingArea:
 
     def test_height_alone_is_not_a_ceiling(self):
         with pytest.raises(TypeError):
-            CeilingFunction(lambda r, t: 0.8)
+            CeilingFunction(lambda r, t: 0.8, lambda r, t: (0.0, 0.0))
+        with pytest.raises(TypeError):
+            ceiling_area(PolarDisk(1.0), CeilingFunction(lambda r, t: 0.8))
 
     def test_dropped_gradient_lower_bound(self):
         disk = PolarDisk(1.0)
         ceiling = tanh_mode_ceiling(0.5, 0.3, np.sin, np.cos)
         area = ceiling_area(disk, ceiling)
-
-        def no_gradient(ceiling, r, t):
-            return (np.cosh(ceiling.height(r, t)) ** 2 * np.sinh(r),)
-
-        from turnover.rooms import _disk_quadrature
-
-        (dropped,) = _disk_quadrature(
-            no_gradient, ceiling, 1.0, Tolerance(), ("no-gradient area",)
-        )
-        assert area >= dropped - 1e-9
+        flat = CeilingFunction(lambda r, t: (ceiling.evaluate(r, t)[0], 0.0, 0.0))
+        assert area >= ceiling_area(disk, flat) - 1e-9
 
 
 class TestNiceRoom:
@@ -398,9 +390,13 @@ class TestIsoperimetricCheck:
         step = 1e-6
         for _ in range(10):
             ceiling = random_smooth_ceiling(rng)
-            g_r, g_t = ceiling.gradient(r, t)
-            fd_r = (ceiling.height(r + step, t) - ceiling.height(r - step, t)) / (2 * step)
-            fd_t = (ceiling.height(r, t + step) - ceiling.height(r, t - step)) / (2 * step)
+
+            def height(r, t):
+                return ceiling.evaluate(r, t)[0]
+
+            _, g_r, g_t = ceiling.evaluate(r, t)
+            fd_r = (height(r + step, t) - height(r - step, t)) / (2 * step)
+            fd_t = (height(r, t + step) - height(r, t - step)) / (2 * step)
             np.testing.assert_allclose(g_r, fd_r, atol=1e-8)
             np.testing.assert_allclose(g_t, fd_t, atol=1e-8)
 
@@ -410,7 +406,7 @@ class TestIsoperimetricCheck:
         t = np.linspace(0.0, 2.0 * math.pi, 40)
         for _ in range(25):
             ceiling = random_smooth_ceiling(rng)
-            values = ceiling.height(r[:, None], t[None, :])
+            values = ceiling.evaluate(r[:, None], t[None, :])[0]
             assert float(values.min()) > 0.0
             assert float(values.max()) < 3.0
 
@@ -446,12 +442,10 @@ class TestRandomCeiling:
         base, modes = documented_draws(np.random.default_rng(seed))
         for n in _NODE_COUNTS:
             r, t = rooms._disk_grid(n, 1.4)
-            g, g_r, g_t = per_mode_reference(base, modes, r, t)
-            assert np.shape(ceiling.height(r, t)) == (n, 2 * n)
-            np.testing.assert_allclose(ceiling.height(r, t), g, rtol=0.0, atol=1e-14)
-            got_r, got_t = ceiling.gradient(r, t)
-            np.testing.assert_allclose(got_r, g_r, rtol=0.0, atol=1e-14)
-            np.testing.assert_allclose(got_t, g_t, rtol=0.0, atol=1e-14)
+            got = ceiling.evaluate(r, t)
+            for value, expected in zip(got, per_mode_reference(base, modes, r, t), strict=True):
+                assert np.shape(value) == (n, 2 * n)
+                np.testing.assert_allclose(value, expected, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_draws_are_the_documented_ones(self, seed):
@@ -468,51 +462,12 @@ class TestRandomCeiling:
             ceiling = random_smooth_ceiling(np.random.default_rng(seed))
             r = np.linspace(0.1, 1.0, len(modes))
             t = np.linspace(0.0, 2.0, len(modes))
-            for evaluate in (ceiling.height, ceiling.gradient):
-                with pytest.raises(DomainError, match=r"\(n, 1\) column.*\(1, m\) row"):
-                    evaluate(r, t)
+            with pytest.raises(DomainError, match=r"\(n, 1\) column.*\(1, m\) row"):
+                ceiling.evaluate(r, t)
         with pytest.raises(DomainError):
-            ceiling.height(0.5, 0.0)
+            ceiling.evaluate(0.5, 0.0)
         with pytest.raises(DomainError):
-            ceiling.height(np.full((3, 2), 0.5), np.zeros((1, 4)))
-
-
-class TestGridTrigMemo:
-    """A random ceiling computes tanh r and the mode angles' cos and sin once
-    per read-only grid, shared by ``height`` and ``gradient``."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_grid_b_after_grid_a_equals_a_fresh_ceiling(self, seed):
-        ceiling = random_smooth_ceiling(np.random.default_rng(seed))
-        grids = (rooms._disk_grid(16, 1.0), rooms._disk_grid(24, 1.2),
-                 rooms._disk_grid(24, 0.7))  # the last two share one theta row
-        for r, t in grids:
-            fresh = random_smooth_ceiling(np.random.default_rng(seed))
-            for first, second in ((ceiling.height(r, t), fresh.height(r, t)),
-                                  *zip(ceiling.gradient(r, t), fresh.gradient(r, t))):
-                np.testing.assert_array_equal(first, second)
-
-    def test_one_trig_pass_per_read_only_grid(self, monkeypatch):
-        ceiling = random_smooth_ceiling(np.random.default_rng(4))
-        calls = []
-        tanh = np.tanh
-        monkeypatch.setattr(np, "tanh", lambda r: calls.append(r) or tanh(r))
-        r, t = rooms._disk_grid(32, 1.1)
-        ceiling.height(r, t)
-        ceiling.gradient(r, t)
-        assert len(calls) == 1
-        writable = np.array(r)
-        ceiling.height(writable, t)
-        ceiling.gradient(writable, t)
-        assert len(calls) == 3
-
-    def test_a_writable_grid_changed_in_place_is_evaluated_anew(self):
-        ceiling = random_smooth_ceiling(np.random.default_rng(8))
-        r, t = np.array(rooms._disk_grid(16, 1.0)[0]), rooms._disk_grid(16, 1.0)[1]
-        ceiling.height(r, t)
-        r *= 1.3
-        fresh = random_smooth_ceiling(np.random.default_rng(8))
-        np.testing.assert_array_equal(ceiling.height(r, t), fresh.height(r, t))
+            ceiling.evaluate(np.full((3, 2), 0.5), np.zeros((1, 4)))
 
 
 def on_full_grid(ceiling):
@@ -521,10 +476,7 @@ def on_full_grid(ceiling):
     def full(value, r, t):
         return value + np.zeros(np.broadcast(r, t).shape)
 
-    return CeilingFunction(
-        height=lambda r, t: full(ceiling.height(r, t), r, t),
-        gradient=lambda r, t: tuple(full(v, r, t) for v in ceiling.gradient(r, t)),
-    )
+    return CeilingFunction(lambda r, t: tuple(full(v, r, t) for v in ceiling.evaluate(r, t)))
 
 
 class TestCeilingShapes:
@@ -533,14 +485,12 @@ class TestCeilingShapes:
 
     CEILINGS = (
         # constant in r: height and gradient are (1, 2n) rows
-        CeilingFunction(lambda r, t: 0.8 + 0.1 * np.cos(t),
-                        lambda r, t: (0.0, -0.1 * np.sin(t))),
+        CeilingFunction(lambda r, t: (0.8 + 0.1 * np.cos(t), 0.0, -0.1 * np.sin(t))),
         # g_r an (n, 1) column, g_theta a (1, 2n) row, the height the full grid
-        CeilingFunction(lambda r, t: 0.5 + 0.25 * r * r + 0.1 * np.cos(t),
-                        lambda r, t: (0.5 * r, -0.1 * np.sin(t))),
+        CeilingFunction(lambda r, t: (0.5 + 0.25 * r * r + 0.1 * np.cos(t), 0.5 * r,
+                                      -0.1 * np.sin(t))),
         # an integer g_r column, which cannot hold a float sum
-        CeilingFunction(lambda r, t: 0.7 + 0.0 * r,
-                        lambda r, t: (np.zeros(np.shape(r), dtype=int), 0.0)),
+        CeilingFunction(lambda r, t: (0.7 + 0.0 * r, np.zeros(np.shape(r), dtype=int), 0.0)),
     )
 
     @pytest.mark.parametrize("index", range(len(CEILINGS)))
@@ -557,18 +507,14 @@ class TestCeilingShapes:
 
 
 def counting_ceiling(ceiling):
-    """``ceiling`` with the node order of every height and gradient call logged."""
-    calls = {"height": [], "gradient": []}
+    """``ceiling`` with the node order of every evaluation logged."""
+    orders = []
 
-    def height(r, t):
-        calls["height"].append(np.shape(r)[0])
-        return ceiling.height(r, t)
+    def evaluate(r, t):
+        orders.append(np.shape(r)[0])
+        return ceiling.evaluate(r, t)
 
-    def gradient(r, t):
-        calls["gradient"].append(np.shape(r)[0])
-        return ceiling.gradient(r, t)
-
-    return CeilingFunction(height, gradient), calls
+    return CeilingFunction(evaluate), orders
 
 
 def test_theta_constant_density_sums_like_broadcast_to(monkeypatch):
@@ -581,9 +527,8 @@ def test_theta_constant_density_sums_like_broadcast_to(monkeypatch):
     monkeypatch.setattr(
         rooms, "_converge", lambda estimate, tol, what: [estimate(n) for n in _NODE_COUNTS]
     )
-    estimates = rooms._disk_quadrature(
-        lambda ceiling, r, theta: columns[r.shape[0]], None, radius, Tolerance(), ()
-    )
+    monkeypatch.setattr(rooms, "_room_densities", lambda ceiling, r, theta: columns[r.shape[0]])
+    estimates = rooms._disk_quadrature(None, radius, Tolerance())
     for n, got in zip(_NODE_COUNTS, estimates):
         m = 2 * n
         weights = (2.0 * math.pi / m) * radius * rooms._unit_nodes(n)[1]
@@ -596,15 +541,26 @@ class TestFusedRoomIntegrals:
     TOLERANCES = (Tolerance(), Tolerance(1e-10, 1e-10))
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_one_height_and_one_gradient_call_per_order(self, seed):
+    def test_one_evaluate_call_per_order(self, seed):
         rng = np.random.default_rng(seed)
         for ceiling in (random_smooth_ceiling(rng), CeilingFunction.constant(0.9)):
-            counted, calls = counting_ceiling(ceiling)
-            isoperimetric_check(PolarDisk(1.1), counted)
-            orders = calls["height"]
-            assert len(orders) >= 2
-            assert orders == list(_NODE_COUNTS[: len(orders)])
-            assert calls["gradient"] == orders
+            for integral in (room_volume, ceiling_area, isoperimetric_check):
+                counted, orders = counting_ceiling(ceiling)
+                integral(PolarDisk(1.1), counted)
+                assert len(orders) >= 2
+                assert orders == list(_NODE_COUNTS[: len(orders)]), integral
+
+    def test_a_ceiling_cannot_write_into_the_shared_angles(self):
+        def writes_theta(r, t):
+            t += 1.0
+            return 1.0, 0.0, 0.0
+
+        for integral in (room_volume, ceiling_area, isoperimetric_check):
+            with pytest.raises(ValueError, match="read-only"):
+                integral(PolarDisk(1.0), CeilingFunction(writes_theta))
+        np.testing.assert_array_equal(
+            rooms._midpoint_angles(16), (np.arange(32)[None, :] + 0.5) * (2.0 * math.pi / 32)
+        )
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 13])
     def test_fused_room_equals_the_lone_integrals(self, seed):
@@ -620,18 +576,21 @@ class TestFusedRoomIntegrals:
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_prism_pair_equals_the_lone_triangle_integrals(self, seed):
+        """Each integral of the pair, converged alone on the rule's own
+        estimates, gives the bits ``cusp_prism_check`` returns."""
         rng = np.random.default_rng(seed)
         for tol in self.TOLERANCES:
             for _ in range(10):
                 r, a = 0.9 * np.sqrt(rng.uniform(size=3)), rng.uniform(0.0, 2.0 * np.pi, 3)
                 tri = ProjectiveTriangle(tuple(zip(r * np.cos(a), r * np.sin(a))))
-                (inverse_gap,) = _triangle_quadrature(
-                    lambda x, y: (1.0 / (1.0 - x * x - y * y),), tri, tol, ("1/gap",)
+                with mock.patch.object(rooms, "_converge", wraps=_converge) as converge:
+                    pair = cusp_prism_check(tri, tol)
+                estimate = converge.call_args.args[0]
+                inverse_gap, area = (
+                    _converge(lambda n, i=i: (estimate(n)[i],), tol, ("lone",))[0]
+                    for i in (0, 1)
                 )
-                (area,) = _triangle_quadrature(
-                    lambda x, y: ((1.0 - x * x - y * y) ** -1.5,), tri, tol, ("area",)
-                )
-                assert cusp_prism_check(tri, tol) == (0.5 * inverse_gap, area)
+                assert pair == (0.5 * inverse_gap, area)
 
 
 class TestCuspPrism:

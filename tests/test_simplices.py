@@ -20,6 +20,7 @@ from turnover.simplices import (
     ReturnPathCase,
     TruncatedSimplexSpec,
     angle_from_edge,
+    boundary_cases,
     edge_from_angle,
     length_from_disk_radius,
     miyamoto_lower_bound,
@@ -238,6 +239,13 @@ class TestReturnPathTheta:
     def test_rejects_non_hyperbolic_boundary(self):
         with pytest.raises(DomainError):
             ReturnPathCase.build(TurnoverSignature(2, 3, 6), k=1, closed=True)
+
+    def test_rejects_a_plain_tuple_boundary_by_name(self):
+        message = r"^\(3, 3, 4\) is not a TurnoverSignature$"
+        with pytest.raises(DomainError, match=message):
+            boundary_cases((3, 3, 4))
+        with pytest.raises(DomainError, match=message):
+            ReturnPathCase.build((3, 3, 4), 4, True)
 
     @pytest.mark.parametrize("k", [0, True])
     def test_rejects_k_that_is_not_a_positive_integer(self, k):

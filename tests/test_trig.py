@@ -3,6 +3,7 @@ polygon laws.  Frozen values from mpmath at 40 digits."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,13 @@ class TestArea:
     def test_rejects_non_hyperbolic(self, orders):
         with pytest.raises(DomainError):
             turnover_area(TurnoverSignature(*orders))
+
+    @pytest.mark.parametrize("value", [(2, 4, 5), [2, 4, 5], "245", None])
+    def test_rejects_what_is_not_a_signature_by_name(self, value):
+        # A signature equals the tuple of its orders, yet a tuple is none.
+        message = rf"^{re.escape(repr(value))} is not a TurnoverSignature$"
+        with pytest.raises(DomainError, match=message):
+            turnover_area(value)
 
     @given(sig=hyperbolic_signatures)
     def test_gauss_bonnet(self, sig):
