@@ -9,7 +9,8 @@ Library layout:
                    mixin that keeps a checked record's checks on ``_replace``.
 * ``numerics``  -- tolerances, bracketing root finder, H*, the one
                    Gauss-Legendre quadrature path (pure-Python nodes,
-                   order-raising loop, fixed rule), the Lobachevsky integral.
+                   order-raising loop, fixed rule), the Lobachevsky integral
+                   as a zeta(2k) series.
 * ``trig``      -- turnover signatures, classification, areas, triangle
                    solving, the quadrilateral and hexagon laws.
 * ``collars``   -- elliptic-axis distance bounds, the disk-radius cap, the

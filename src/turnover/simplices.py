@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, require_finite, require_positive
@@ -123,17 +122,15 @@ def _log_chord(t: float) -> float:
     return math.log(c + math.sin(0.5 * t) * math.sqrt(2.0 * (3.0 * c - 1.0)))
 
 
-@lru_cache(maxsize=1)
-def _octahedron_volume() -> float:
-    """Vol(T_0) = 8 L(pi/4), the regular ideal octahedron."""
-    return 8.0 * lobachevsky(math.pi / 4.0)
+# Vol(T_0) = 8 L(pi/4), the regular ideal octahedron.
+_OCTAHEDRON_VOLUME = 8.0 * lobachevsky(math.pi / 4.0)
 
 
 def truncated_simplex_volume(theta: float) -> float:
     """Volume of the regular truncated 3-simplex of dihedral angle theta."""
     theta = _check_theta(theta)
     if theta == 0.0:
-        return _octahedron_volume()
+        return _OCTAHEDRON_VOLUME
     # pi/6 -+ theta/2, written so that the lower one stays positive.
     upper, lower = 0.5 * (THETA_MAX + theta), 0.5 * (THETA_MAX - theta)
     acosh_integral = (
@@ -141,7 +138,7 @@ def truncated_simplex_volume(theta: float) -> float:
         + 2.0 * lobachevsky(upper)
         - 2.0 * lobachevsky(lower)
     )
-    return _octahedron_volume() - 3.0 * acosh_integral
+    return _OCTAHEDRON_VOLUME - 3.0 * acosh_integral
 
 
 def rho3(r: float) -> float:

@@ -19,6 +19,7 @@ from turnover.errors import BracketError, ConvergenceError, DomainError
 from turnover.numerics import (
     _FIXED_NODES,
     _NODE_COUNTS,
+    _ZETA_EVEN,
     Bracket,
     Tolerance,
     _converge,
@@ -305,12 +306,32 @@ class TestLobachevsky:
             lobachevsky(math.nan)
 
     def test_matches_clausen_on_grid(self):
-        """1e-15 absolute against Cl_2(2 theta) / 2 at 30 digits on [0, pi/2]."""
-        with mpmath.workdps(30):
-            for i in range(201):
-                theta = (math.pi / 2.0) * i / 200
+        """3e-16 absolute against Cl_2(2 theta) / 2 at 40 digits on [0, pi/2]."""
+        with mpmath.workdps(40):
+            for i in range(401):
+                theta = (math.pi / 2.0) * i / 400
                 reference = float(mpmath.clsin(2, 2 * mpmath.mpf(theta)) / 2)
-                assert abs(lobachevsky(theta) - reference) <= 1e-15, theta
+                assert abs(lobachevsky(theta) - reference) <= 3e-16, theta
+
+    def test_vanishes_at_half_pi(self):
+        assert abs(lobachevsky(math.pi / 2.0)) <= 3e-16
+
+    @given(st.floats(0.0, math.pi / 4.0))
+    @example(math.pi / 4.0)
+    @example(math.pi / 6.0)
+    def test_duplication_formula(self, theta):
+        """L(2 theta) = 2 L(theta) - 2 L(pi/2 - theta), from
+        2 sin 2u = (2 sin u) (2 sin(pi/2 - u)) and L(pi/2) = 0."""
+        lhs = lobachevsky(2.0 * theta)
+        rhs = 2.0 * lobachevsky(theta) - 2.0 * lobachevsky(math.pi / 2.0 - theta)
+        assert abs(lhs - rhs) <= 1.5e-15
+
+    def test_derived_zeta_values(self):
+        """The recurrence's zeta(2k) match mpmath to 2e-15 relative."""
+        with mpmath.workdps(40):
+            for k, value in enumerate(_ZETA_EVEN, 1):
+                reference = float(mpmath.zeta(2 * k))
+                assert abs(value - reference) <= 2e-15 * reference, k
 
     def test_shape_on_grid(self):
         """Increasing to the max at pi/6, then decreasing; concave throughout.

@@ -328,19 +328,22 @@ class TestLengthFromDiskRadius:
 
 
 class TestVerdictMargins:
-    """The tightest verdicts of the census at orders <= 12 (ext 1 and 2):
-    each float case bound agrees with a 30-digit mpmath value of
-    rho3(pi/d) * Area, d = 3 (1 - w chi) exact, to within 1% of its margin
-    from the cap, so float error cannot have flipped any of them."""
+    """The verdicts of the census at orders <= 12 (ext 1 and 2): each float
+    case bound agrees with a 30-digit mpmath value of rho3(pi/d) * Area,
+    d = 3 (1 - w chi) exact, to within 1% of its margin from the cap, so
+    float error cannot have flipped any of them.  Tier-1 checks the 40
+    tightest cases; the ``slow`` oracle checks every case."""
 
     @staticmethod
-    def mp_bound(case) -> mpmath.mpf:
+    def mp_bound(case, rho3_by_d: dict) -> mpmath.mpf:
+        """rho3(pi/d) * Area(boundary); ``rho3_by_d`` memoizes rho3 by d."""
         chi = case.boundary_sig.chi_fraction()
         d = 3 * (1 - (Fraction(case.k) if case.closed else Fraction(case.k, 2)) * chi)
         with mpmath.workdps(30):
-            theta = mpmath.pi * d.denominator / d.numerator
-            area = -2 * mpmath.pi * chi.numerator / chi.denominator
-            return mp_volume(theta) / (4 * (mpmath.pi - 3 * theta)) * area
+            if d not in rho3_by_d:
+                theta = mpmath.pi * d.denominator / d.numerator
+                rho3_by_d[d] = mp_volume(theta) / (4 * (mpmath.pi - 3 * theta))
+            return rho3_by_d[d] * (-2 * mpmath.pi * chi.numerator / chi.denominator)
 
     def test_tightest_cases_match_mpmath_within_their_margin(self):
         excluded, survivors = [], []
@@ -357,5 +360,21 @@ class TestVerdictMargins:
         tightest = (sorted(excluded, key=lambda row: row[0])[:20]
                     + sorted(survivors, key=lambda row: row[0])[:20])
         for margin, record in tightest:
-            error = abs(record.lower_bound - float(self.mp_bound(record.case)))
+            error = abs(record.lower_bound - float(self.mp_bound(record.case, {})))
             assert error <= 0.01 * margin, (record.case, margin, error)
+
+    @pytest.mark.slow
+    def test_every_case_matches_mpmath_within_its_margin(self):
+        """Every case of the 538 analyses, not only the tightest 40; mpmath
+        computes rho3 once per distinct exact d."""
+        rho3_by_d = {}
+        for ext in (1, 2):
+            for sig in hyperbolic_signatures(range(2, 13)):
+                report = analyze(sig, ext)
+                cap = report.ledger.upper_bound_with_boundary
+                for record in report.cases:
+                    reference = float(self.mp_bound(record.case, rho3_by_d))
+                    margin = abs(record.lower_bound - cap)
+                    error = abs(record.lower_bound - reference)
+                    assert error <= 0.01 * margin, (sig, ext, record.case, margin, error)
+        assert len(rho3_by_d) == 2838
