@@ -14,12 +14,8 @@ import json
 import sys
 
 from turnover.cli import main as turnover_main
-from turnover.engine import (
-    analyze,
-    exclusion_by_volume,
-    make_ledger,
-    registry,
-)
+from turnover.engine import analyze, exclusion_by_volume, make_ledger
+from turnover.registry import registry
 from turnover.trig import TurnoverSignature, turnover_area
 
 

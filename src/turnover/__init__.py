@@ -20,6 +20,8 @@ Library layout:
 * ``rooms``     -- floor/ceiling/room integrals, the isoperimetric check,
                    the cusp prism bound; the only module that imports numpy.
 * ``engine``    -- budgets, candidate enumeration, case scans, refinements,
-                   volume exclusions, the orbifold registry.
-* ``cli``       -- the ``turnover`` command.
+                   volume exclusions; re-exports the registry.
+* ``registry``  -- the cited-orbifold registry; imports only ``trig``.
+* ``cli``       -- the ``turnover`` command, built from one table of
+                   subcommands.
 """

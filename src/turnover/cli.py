@@ -1,16 +1,19 @@
 """Command line front end.
 
-Every subcommand builds a JSON-serializable payload first and renders the
-text view from it, so the two output modes always agree; ``--json`` prints
-the payload itself.  Numeric text output uses 10 significant digits.
+Each subcommand's handler builds both views of its result: a
+JSON-serializable payload and the text lines.  ``--json`` prints the
+payload; numeric text output uses 10 significant digits.
 
 Every subcommand takes ``--json``.  Only ``room-check`` iterates to a
 tolerance, so only it takes ``--tol`` and ``--seed``; on any other
 command either flag is a usage error.
 
-Each command imports the modules it runs inside its handler, and the
-package ``__init__`` imports nothing: each run is a fresh process, so this
-spares a command compiling and executing the modules it never calls.
+Each run is a fresh process, so a command pays only for what it runs.
+``_COMMANDS`` declares every subcommand once (name, help, arguments,
+handler), and ``main`` builds the parser of the one subcommand it is given;
+help, no command and an unknown command get the full parser.  Each handler
+imports the modules it runs, ``trig`` included, and the package
+``__init__`` imports nothing.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numeric failure
 (non-convergence or a violated theorem-backed inequality).
@@ -22,7 +25,6 @@ import argparse
 import json
 import sys
 
-from . import trig
 from .errors import ConvergenceError, DomainError, InequalityViolation
 
 EXIT_OK = 0
@@ -34,14 +36,16 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _signature(args) -> trig.TurnoverSignature:
-    return trig.TurnoverSignature(args.p, args.q, args.r)
+def _signature(args):
+    from .trig import TurnoverSignature
+    return TurnoverSignature(args.p, args.q, args.r)
 
 
 # --- subcommand payload builders: args -> (payload dict, text lines) ---
 
 
 def _cmd_area(args):
+    from . import trig
     sig = _signature(args)
     kind = trig.classify(sig)
     payload = {"signature": list(sig.orders), "class": kind.value}
@@ -54,6 +58,7 @@ def _cmd_area(args):
 
 
 def _cmd_classify(args):
+    from . import trig
     sig = _signature(args)
     kind = trig.classify(sig)
     return {"signature": list(sig.orders), "class": kind.value}, [kind.value]
@@ -96,7 +101,7 @@ def _cmd_orders(args):
 
 
 def _cmd_supergroups(args):
-    from . import collars
+    from . import collars, trig
     orders = (args.p, args.q, args.r)
     if args.table:
         if orders != (None, None, None):
@@ -196,7 +201,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_census(args):
-    from . import engine
+    from . import engine, trig
     if args.max_order < 2:
         raise DomainError(f"max order must be >= 2, got {args.max_order}")
     rows = []
@@ -266,8 +271,8 @@ def _cmd_room_check(args):
 
 
 def _cmd_registry(args):
-    from . import engine
-    payload = {"registry": engine.registry_json()}
+    from .registry import registry_json
+    payload = {"registry": registry_json()}
     text = []
     for row in payload["registry"]:
         immersed = ", ".join(
@@ -283,97 +288,70 @@ def _cmd_registry(args):
 # --- wiring -------------------------------------------------------------------
 
 
-def _add_signature_args(parser, optional=False):
-    kwargs = {"type": int}
-    if optional:
-        kwargs["nargs"] = "?"
-        kwargs["default"] = None
-    parser.add_argument("p", **kwargs)
-    parser.add_argument("q", **kwargs)
-    parser.add_argument("r", **kwargs)
+def _arg(*names, **options):
+    """One ``add_argument`` call: its names and its options."""
+    return names, options
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
+_JSON = _arg("--json", action="store_true", help="emit one JSON document")
+_SIGNATURE = (_arg("p", type=int), _arg("q", type=int), _arg("r", type=int))
+_EXT = _arg("--ext", type=int, default=1, choices=(1, 2))
 
+# The subcommands: name -> (help, arguments after --json, handler).
+_COMMANDS = {
+    "area": ("classification and area", _SIGNATURE, _cmd_area),
+    "classify": ("geometry class only", _SIGNATURE, _cmd_classify),
+    "delta": ("collar constants c and delta",
+              (_arg("n", type=int), _arg("m", type=int)), _cmd_delta),
+    "orders": ("admissible boundary cone orders", _SIGNATURE, _cmd_orders),
+    "supergroups": ("containing turnover groups, or the full table",
+                    (*(_arg(name, type=int, nargs="?") for name in "pqr"),
+                     _arg("--table", action="store_true",
+                          help="dump the containment table")),
+                    _cmd_supergroups),
+    "bounds": ("area and volume budgets", (*_SIGNATURE, _EXT), _cmd_bounds),
+    "candidates": ("boundary turnover candidates under budget",
+                   (*_SIGNATURE, _EXT), _cmd_candidates),
+    "analyze": ("full boundary-exclusion pipeline", (*_SIGNATURE, _EXT), _cmd_analyze),
+    "census": ("analyze every hyperbolic signature up to a maximum order",
+               (_arg("--max-order", type=int, required=True), _EXT), _cmd_census),
+    "rho3": ("truncated simplex volume and density",
+             (_arg("--theta", type=float), _arg("--edge", type=float)), _cmd_rho3),
+    "room-check": ("seeded isoperimetric sweeps",
+                   (_arg("--seed", type=int, default=0, help="seed for the random sweep"),
+                    _arg("--count", type=int, default=100),
+                    _arg("--constant", type=float,
+                         help="check a single constant ceiling of this height instead"),
+                    _arg("--tol", type=float,
+                         help="quadrature and root tolerance, abs and rel")),
+                   _cmd_room_check),
+    "registry": ("cited orbifold registry", (), _cmd_registry),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``turnover`` parser with every subcommand, or with ``command``
+    alone.  The one-subcommand parser still names every subcommand in its
+    usage line, so a usage error prints as it does on the full parser."""
     parser = argparse.ArgumentParser(
         prog="turnover",
         description="Turnover trigonometry, collar bounds, and boundary exclusions",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("area", parents=[common], help="classification and area")
-    _add_signature_args(p)
-    p.set_defaults(handler=_cmd_area)
-
-    p = sub.add_parser("classify", parents=[common], help="geometry class only")
-    _add_signature_args(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("delta", parents=[common], help="collar constants c and delta")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(handler=_cmd_delta)
-
-    p = sub.add_parser("orders", parents=[common],
-                       help="admissible boundary cone orders")
-    _add_signature_args(p)
-    p.set_defaults(handler=_cmd_orders)
-
-    p = sub.add_parser("supergroups", parents=[common],
-                       help="containing turnover groups, or the full table")
-    _add_signature_args(p, optional=True)
-    p.add_argument("--table", action="store_true", help="dump the containment table")
-    p.set_defaults(handler=_cmd_supergroups)
-
-    p = sub.add_parser("bounds", parents=[common], help="area and volume budgets")
-    _add_signature_args(p)
-    p.add_argument("--ext", type=int, default=1, choices=(1, 2))
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("candidates", parents=[common],
-                       help="boundary turnover candidates under budget")
-    _add_signature_args(p)
-    p.add_argument("--ext", type=int, default=1, choices=(1, 2))
-    p.set_defaults(handler=_cmd_candidates)
-
-    p = sub.add_parser("analyze", parents=[common],
-                       help="full boundary-exclusion pipeline")
-    _add_signature_args(p)
-    p.add_argument("--ext", type=int, default=1, choices=(1, 2))
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("census", parents=[common],
-                       help="analyze every hyperbolic signature up to a maximum order")
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--ext", type=int, default=1, choices=(1, 2))
-    p.set_defaults(handler=_cmd_census)
-
-    p = sub.add_parser("rho3", parents=[common],
-                       help="truncated simplex volume and density")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--edge", type=float, default=None)
-    p.set_defaults(handler=_cmd_rho3)
-
-    p = sub.add_parser("room-check", parents=[common],
-                       help="seeded isoperimetric sweeps")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random sweep")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--constant", type=float, default=None,
-                   help="check a single constant ceiling of this height instead")
-    p.add_argument("--tol", type=float, default=None,
-                   help="quadrature and root tolerance, abs and rel")
-    p.set_defaults(handler=_cmd_room_check)
-
-    p = sub.add_parser("registry", parents=[common], help="cited orbifold registry")
-    p.set_defaults(handler=_cmd_registry)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for names, options in (_JSON, *arguments):
+                p.add_argument(*names, **options)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Help, no command and an unknown command need the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import turnover
+from turnover import cli
 from turnover.cli import build_parser, main
 
 # room-check --seed 1 --count 2 worst_margin (quadratures and nice_height) at
@@ -21,11 +22,13 @@ WORST_MARGIN_SEED1_LOOSE = 1.2463759451431518
 ROOM_CHECK = ("room-check", "--seed", "1", "--count", "2")
 
 # The turnover modules each command loads in a fresh interpreter.
-TRIG_ONLY = {"turnover", "turnover.cli", "turnover.errors", "turnover.trig"}
+PARSER = {"turnover", "turnover.cli", "turnover.errors"}
+TRIG_ONLY = PARSER | {"turnover.trig"}
 WITH_COLLARS = TRIG_ONLY | {"turnover.collars"}
 WITH_SIMPLICES = TRIG_ONLY | {"turnover.numerics", "turnover.simplices"}
-WITH_ENGINE = WITH_COLLARS | WITH_SIMPLICES | {"turnover.engine"}
-WITH_ROOMS = TRIG_ONLY | {"turnover.numerics", "turnover.rooms"}
+WITH_REGISTRY = TRIG_ONLY | {"turnover.registry"}
+WITH_ENGINE = WITH_COLLARS | WITH_SIMPLICES | WITH_REGISTRY | {"turnover.engine"}
+WITH_ROOMS = PARSER | {"turnover.numerics", "turnover.rooms"}
 
 # One small invocation of every subcommand: (arguments, modules loaded).
 COMMANDS = {
@@ -40,7 +43,7 @@ COMMANDS = {
     "census": (["--max-order", "5"], WITH_ENGINE),
     "rho3": (["--theta", "0.5"], WITH_SIMPLICES),
     "room-check": (["--count", "2", "--seed", "0"], WITH_ROOMS),
-    "registry": ([], WITH_ENGINE),
+    "registry": ([], WITH_REGISTRY),
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -366,16 +369,52 @@ def test_readme_cli_block_runs_and_shows_what_it_quotes(capsys):
     assert set(README_QUOTES) <= {" ".join(c.split()[1:]) for c, _, _ in lines}
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_subcommand_parser_parses_and_helps_as_the_full_one(capsys, command):
+    """``build_parser(command)`` parses each README example of the command
+    to the namespace ``build_parser()`` gives, and prints the same help."""
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    examples = [line.partition("#")[0].split()[1:] for line in block.splitlines()
+                if line.startswith(f"turnover {command} ")]
+    assert examples
+    one, full = build_parser(command), build_parser()
+    for argv in examples:
+        assert one.parse_args(argv) == full.parse_args(argv)
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and helps[0].out.startswith(f"usage: turnover {command} ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["frobnicate"], ["analyze", "2", "4", "5", "--tol", "1e-3"],
+])
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    """Help, no command, an unknown command and an argument the command
+    does not take give the full parser's output and exit code.  In the last
+    case the top-level usage line lists every subcommand."""
+    got = run(capsys, *argv)
+    full_parser = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert got == run(capsys, *argv)
+    assert got[0] == (0 if argv == ["--help"] else 2)
+
+
 # Fresh-interpreter cases that run no command, and the modules they load.
-NO_COMMAND = {"package": {"turnover"}, "parser": TRIG_ONLY}
+NO_COMMAND = {"package": {"turnover"}, "parser": PARSER}
 
 
 @pytest.mark.parametrize("command", [*NO_COMMAND, *COMMANDS])
 def test_each_command_imports_only_what_it_runs(command):
     """A fresh interpreter running one command loads exactly the turnover
-    modules that command calls, and numpy only for room-check.  With no
-    command, ``import turnover.cli`` and ``build_parser()`` load ``cli``,
-    ``errors`` and ``trig``, and ``import turnover`` loads no submodule.
+    modules that command calls, and numpy only for room-check: room-check
+    loads no ``trig``, and registry loads ``trig`` and ``registry`` but no
+    ``engine``.  With no command, ``import turnover.cli`` and
+    ``build_parser()`` load ``cli`` and ``errors``, and ``import turnover``
+    loads no submodule.
     No case loads ``dataclasses``, and only room-check (through numpy)
     loads ``inspect``: both cost milliseconds of every cold start."""
     if command in NO_COMMAND:

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import turnover
-from turnover import engine
 from turnover.engine import analyze, registry
 from turnover.trig import TurnoverSignature
 
@@ -52,7 +51,7 @@ def test_reproduce_verdicts_exits_1_on_a_contradiction(monkeypatch, capsys):
         entry._replace(volume=100.0) if entry.name == "O8" else entry
         for entry in registry()
     )
-    monkeypatch.setattr(engine, "_REGISTRY", patched)
+    monkeypatch.setattr("turnover.registry._REGISTRY", patched)
     monkeypatch.setattr(sys, "argv", ["reproduce_verdicts.py"])
     script = runpy.run_path(str(ROOT / "scripts" / "reproduce_verdicts.py"))
     assert script["main"]() == 1
