@@ -20,8 +20,10 @@ Library layout:
 * ``rooms``     -- floor/ceiling/room integrals, the isoperimetric check,
                    the cusp prism bound; the only module that imports numpy.
 * ``engine``    -- budgets, candidate enumeration, case scans, refinements,
-                   volume exclusions; re-exports the registry.
+                   volume exclusions; re-exports the registry lazily.
 * ``registry``  -- the cited-orbifold registry; imports only ``trig``.
 * ``cli``       -- the ``turnover`` command, built from one table of
-                   subcommands.
+                   subcommands; it imports only the one command it runs.
+* ``commands``  -- one module per subcommand, each a ``run(args)`` that
+                   returns the JSON payload and the text lines.
 """

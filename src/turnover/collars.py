@@ -22,8 +22,6 @@ parameters).  It is stored as data so it can be audited row by row, and the
 index-equals-area-ratio identity doubles as a transcription self-test.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import count, permutations, takewhile
 from typing import NamedTuple
@@ -63,7 +61,7 @@ class EllipticPair(CheckedRecord, _PairFields):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, m: int) -> EllipticPair:
+    def __new__(cls, n: int, m: int) -> "EllipticPair":
         for v in (n, m):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise DomainError(f"elliptic order {v!r} is not an integer")

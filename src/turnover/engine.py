@@ -43,10 +43,9 @@ through the minimal boundary area pi/21.
 
 The registry of cited orbifolds lives in ``registry``, which imports only
 ``trig``; this module re-exports ``RegistryEntry``, ``registry`` and
-``registry_json``.
+``registry_json`` lazily (a module ``__getattr__``, PEP 562), so the
+pipeline never loads ``registry`` until one of the three is read.
 """
-
-from __future__ import annotations
 
 import enum
 import math
@@ -58,7 +57,6 @@ from typing import Iterable, NamedTuple
 from .collars import refined_boundary_orders
 from .errors import CheckedRecord, DomainError, require_finite, require_positive
 from .numerics import constant_H
-from .registry import RegistryEntry, registry, registry_json
 from .simplices import (
     ReturnPathCase,
     TruncatedSimplexSpec,
@@ -94,6 +92,14 @@ __all__ = [
     "registry",
     "registry_json",
 ]
+
+def __getattr__(name: str):
+    """The registry names, read from ``registry`` on first use."""
+    if name in ("RegistryEntry", "registry", "registry_json"):
+        from . import registry
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Minimal boundary piece: twice the (2,3,7) mirrored triangle, area pi/21.
 MIN_BOUNDARY_PIECE_DEFECT = -TurnoverSignature(2, 3, 7).chi_fraction()
@@ -315,7 +321,7 @@ class RefinementInput(CheckedRecord, _RefinementFields):
     __slots__ = ()
 
     def __new__(cls, boundary: TurnoverSignature, k: int, kind: str, value: float,
-                label: str = "") -> RefinementInput:
+                label: str = "") -> "RefinementInput":
         if not isinstance(boundary, TurnoverSignature):
             raise DomainError(f"refinement boundary {boundary!r} is not a TurnoverSignature")
         if k not in boundary.orders:

@@ -56,8 +56,6 @@ do, and ``turnover room-check`` turns ``--tol`` into one ``Tolerance`` per
 invocation and passes it down.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -103,7 +101,7 @@ class Tolerance(CheckedRecord, _ToleranceFields):
 
     __slots__ = ()
 
-    def __new__(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> Tolerance:
+    def __new__(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-12) -> "Tolerance":
         require_finite(require_positive(abs_tol, "abs_tol"), "abs_tol")
         require_finite(require_nonnegative(rel_tol, "rel_tol"), "rel_tol")
         return super().__new__(cls, abs_tol, rel_tol)
@@ -126,7 +124,7 @@ class Bracket(CheckedRecord, _BracketFields):
 
     __slots__ = ()
 
-    def __new__(cls, lo: float, hi: float) -> Bracket:
+    def __new__(cls, lo: float, hi: float) -> "Bracket":
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("bracket endpoints must be finite")

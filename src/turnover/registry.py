@@ -6,8 +6,6 @@ their volumes and the turnovers known to be immersed or embedded in them.
 registry`` prints the rows without loading the verdict pipeline.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .trig import TurnoverSignature

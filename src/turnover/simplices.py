@@ -47,8 +47,6 @@ verdicts: each verdict compares a bound with the ledger it was scanned
 against.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -72,6 +70,9 @@ __all__ = [
 ]
 
 THETA_MAX = math.pi / 3.0
+# pi/3 - THETA_MAX, about 1.1e-16: float pi's rounding error is sin(float pi),
+# and 3 THETA_MAX misses float pi by an exact rational amount.
+_THETA_MAX_LO = (float(Fraction(math.pi) - 3 * Fraction(THETA_MAX)) + math.sin(math.pi)) / 3
 
 
 def _check_theta(theta: float) -> float:
@@ -87,10 +88,19 @@ def edge_from_angle(theta: float) -> float:
     """Edge length 2r of T_theta: acosh(cos theta / (2 cos theta - 1)).
 
     Zero at theta = 0 (ideal octahedron) and diverging as theta -> pi/3.
+    Computed as 2 asinh(sinh r), from cosh 2r - 1 = 2 sinh^2 r and
+    1 - cos theta = 2 sin^2(theta/2),
+    2 cos theta - 1 = 4 sin(pi/6 + theta/2) sin(pi/6 - theta/2):
+
+        sinh r = sin(theta/2) / (2 sqrt(sin(pi/6 + theta/2) sin(pi/6 - theta/2))),
+
+    so nothing cancels near 0 or near pi/3, where pi/3 - theta carries
+    pi/3's low part.
     """
     theta = _check_theta(theta)
-    c = math.cos(theta)
-    return math.acosh(max(c / (2.0 * c - 1.0), 1.0))
+    upper = math.sin(0.5 * (THETA_MAX + theta))
+    lower = math.sin(0.5 * ((THETA_MAX - theta) + _THETA_MAX_LO))
+    return 2.0 * math.asinh(math.sin(0.5 * theta) / (2.0 * math.sqrt(upper * lower)))
 
 
 def _cosh(x: float) -> float:

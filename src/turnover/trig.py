@@ -15,8 +15,6 @@ read.  Classification reads its sign, so a Euclidean signature such as
 -2 pi chi.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from fractions import Fraction
@@ -55,7 +53,7 @@ class TurnoverSignature(CheckedRecord, _SignatureFields):
 
     __slots__ = ()
 
-    def __new__(cls, p: int, q: int, r: int) -> TurnoverSignature:
+    def __new__(cls, p: int, q: int, r: int) -> "TurnoverSignature":
         orders = (p, q, r)
         for n in orders:
             if not isinstance(n, int) or isinstance(n, bool):

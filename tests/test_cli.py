@@ -27,7 +27,7 @@ TRIG_ONLY = PARSER | {"turnover.trig"}
 WITH_COLLARS = TRIG_ONLY | {"turnover.collars"}
 WITH_SIMPLICES = TRIG_ONLY | {"turnover.numerics", "turnover.simplices"}
 WITH_REGISTRY = TRIG_ONLY | {"turnover.registry"}
-WITH_ENGINE = WITH_COLLARS | WITH_SIMPLICES | WITH_REGISTRY | {"turnover.engine"}
+WITH_ENGINE = WITH_COLLARS | WITH_SIMPLICES | {"turnover.engine"}
 WITH_ROOMS = PARSER | {"turnover.numerics", "turnover.rooms"}
 
 # One small invocation of every subcommand: (arguments, modules loaded).
@@ -403,6 +403,18 @@ def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
     assert got[0] == (0 if argv == ["--help"] else 2)
 
 
+def _fresh_interpreter(program, argv):
+    """Run ``program`` in a fresh interpreter that imports this package,
+    with ``argv`` as JSON in ``sys.argv[1]``; its last stdout line, as JSON."""
+    env = dict(os.environ)
+    src = str(Path(turnover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", program, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 # Fresh-interpreter cases that run no command, and the modules they load.
 NO_COMMAND = {"package": {"turnover"}, "parser": PARSER}
 
@@ -410,17 +422,21 @@ NO_COMMAND = {"package": {"turnover"}, "parser": PARSER}
 @pytest.mark.parametrize("command", [*NO_COMMAND, *COMMANDS])
 def test_each_command_imports_only_what_it_runs(command):
     """A fresh interpreter running one command loads exactly the turnover
-    modules that command calls, and numpy only for room-check: room-check
-    loads no ``trig``, and registry loads ``trig`` and ``registry`` but no
-    ``engine``.  With no command, ``import turnover.cli`` and
-    ``build_parser()`` load ``cli`` and ``errors``, and ``import turnover``
-    loads no submodule.
+    modules that command calls, and numpy only for room-check: besides
+    ``turnover.commands``, the one command module it runs
+    (``turnover.commands.<name>``), room-check loads no ``trig``, registry
+    loads ``trig`` and ``registry`` but no ``engine``, and the engine
+    commands load no ``registry``.  With no command, ``import turnover.cli``
+    and ``build_parser()`` load ``cli`` and ``errors`` and no command
+    module, and ``import turnover`` loads no submodule.
     No case loads ``dataclasses``, and only room-check (through numpy)
     loads ``inspect``: both cost milliseconds of every cold start."""
     if command in NO_COMMAND:
         argv, expected = [], NO_COMMAND[command]
     else:
         argv, expected = [command, *COMMANDS[command][0]], COMMANDS[command][1]
+        expected = expected | {"turnover.commands",
+                               f"turnover.commands.{command.replace('-', '_')}"}
     head = ("import turnover" if command == "package"
             else "from turnover.cli import build_parser, main\nbuild_parser()")
     program = "\n".join([
@@ -436,15 +452,34 @@ def test_each_command_imports_only_what_it_runs(command):
         "                  'modules': sorted(m for m in sys.modules",
         "                                    if m.split('.')[0] == 'turnover')}))",
     ])
-    env = dict(os.environ)
-    src = str(Path(turnover.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", program, json.dumps(argv)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0, proc.stderr
+    result = _fresh_interpreter(program, argv)
+    assert result["code"] == 0, result
     assert set(result["modules"]) == expected
     assert result["numpy"] == (command == "room-check")
     assert "dataclasses" not in result["stdlib"]
     assert "inspect" not in result["stdlib"] or command == "room-check"
+
+
+GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
+
+
+@pytest.mark.parametrize("argv", [row["argv"] for row in
+                                  json.loads(GOLDEN_CLI.read_text())["commands"]],
+                         ids=" ".join)
+def test_main_module_run_never_imports_cli_again(argv):
+    """``python -m turnover.cli``, as the benchmark launches each command,
+    runs the parser as ``__main__``: no command module imports
+    ``turnover.cli``, which would compile it a second time."""
+    program = "\n".join([
+        "import contextlib, io, json, runpy, sys",
+        "sys.argv = ['turnover', *json.loads(sys.argv[1])]",
+        "out = io.StringIO()",
+        "with contextlib.redirect_stdout(out):",
+        "    try:",
+        "        runpy.run_module('turnover.cli', run_name='__main__', alter_sys=True)",
+        "    except SystemExit as exc:",
+        "        code = exc.code",
+        "json.loads(out.getvalue())",
+        "print(json.dumps({'code': code, 'cli': 'turnover.cli' in sys.modules}))",
+    ])
+    assert _fresh_interpreter(program, [*argv, "--json"]) == {"code": 0, "cli": False}

@@ -709,3 +709,13 @@ class TestRegistry:
         q3 = next(r for r in rows if r["name"] == "Q3")
         assert q3["known_immersed"] == [[2, 4, 5]]
         assert q3["edge_orders"] == [2, 4, 2, 3, 5, 3]
+
+    def test_engine_reexports_the_registry_module_objects(self):
+        """``engine`` reads its three registry names from ``registry`` on
+        first use; any other missing attribute is still an AttributeError."""
+        from turnover import registry as registry_module
+
+        for name in ("RegistryEntry", "registry", "registry_json"):
+            assert getattr(engine, name) is getattr(registry_module, name)
+        with pytest.raises(AttributeError, match="'turnover.engine' has no attribute 'nope'"):
+            engine.nope

@@ -9,6 +9,7 @@ import pickle
 import pytest
 
 from turnover import collars, engine, numerics, rooms, simplices, trig
+from turnover import registry as registry_module
 from turnover.collars import EllipticPair, supergroup_table
 from turnover.engine import RefinementInput, analyze, make_ledger, miyamoto_case_scan, registry
 from turnover.errors import DomainError
@@ -59,7 +60,7 @@ CHECKING = {
     ),
 }
 
-MODULES = (collars, engine, numerics, rooms, simplices, trig)
+MODULES = (collars, engine, numerics, registry_module, rooms, simplices, trig)
 
 
 def _instance(name):

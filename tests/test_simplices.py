@@ -54,6 +54,14 @@ def mp_volume(theta: float) -> mpmath.mpf:
         )
 
 
+def mp_edge(theta: float) -> mpmath.mpf:
+    """acosh(cos theta / (2 cos theta - 1)) at 700 digits, so that 40
+    survive the 600 it cancels at theta = 1e-300."""
+    with mpmath.workdps(700):
+        c = mpmath.cos(mpmath.mpf(theta))
+        return mpmath.acosh(c / (2 * c - 1))
+
+
 class TestEdgeAngle:
     def test_zero_angle_zero_edge(self):
         assert edge_from_angle(0.0) == 0.0
@@ -66,6 +74,18 @@ class TestEdgeAngle:
 
     def test_pole(self):
         assert edge_from_angle(THETA_MAX - 1e-6) > 7.0
+
+    @pytest.mark.parametrize("theta", [
+        *(10.0 ** -k for k in (*range(1, 17), 100, 200, 300)),
+        *(THETA_MAX - 10.0 ** -k for k in range(1, 16)),
+        *(THETA_MAX * i / 20 for i in range(1, 20)),
+    ])
+    def test_full_precision_at_both_ends(self, theta):
+        """1e-15 relative to mpmath at the same float theta, near 0 (where
+        cos theta rounds to 1) and near pi/3 (where 2 cos theta - 1
+        cancels)."""
+        assert edge_from_angle(theta) == pytest.approx(
+            float(mp_edge(theta)), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("theta", [-0.01, THETA_MAX, 1.2])
     def test_domain(self, theta):
